@@ -41,6 +41,9 @@ pub(crate) fn run_acceptor(ctx: &Ctx, listener: Box<dyn ClientListener>) {
 
 struct ConnState {
     conn: Box<dyn ClientConn>,
+    /// Outbound bytes the transport could not write yet (TCP only);
+    /// flushed on every loop pass until drained.
+    backlog: bool,
     /// A decoded request (with its intake stamp) that could not yet be
     /// pushed to the RequestQueue. While present, the connection is not
     /// read — this is the backpressure point of §V-E: paused reads fill
@@ -53,6 +56,37 @@ struct ConnState {
 /// burst lands; the busy path's `try_pop_all` drains everything queued).
 const REPLY_BURST: usize = 1024;
 
+/// Outbound bytes a connection may buffer before its client counts as a
+/// slow reader and is dropped (the evented path's default cap). On the
+/// in-memory transport the connection's bounded queue is the buffer.
+const MAX_OUTBOUND_BYTES: usize = 256 * 1024;
+
+impl ConnState {
+    /// Queues one frame without blocking and pushes out what the
+    /// transport will take. Returns false when the connection must be
+    /// dropped: it broke, or its reader fell so far behind that the
+    /// outbound buffer is full. A thread that blocked here instead would
+    /// stall every other connection it owns, and shutdown with it.
+    fn send(&mut self, frame: Vec<u8>) -> bool {
+        match self.conn.try_send(frame, MAX_OUTBOUND_BYTES) {
+            Ok(None) => self.flush(),
+            Ok(Some(_)) | Err(_) => false,
+        }
+    }
+
+    /// Writes buffered outbound bytes without blocking; returns false
+    /// when the connection broke.
+    fn flush(&mut self) -> bool {
+        match self.conn.flush_out() {
+            Ok(drained) => {
+                self.backlog = !drained;
+                true
+            }
+            Err(_) => false,
+        }
+    }
+}
+
 /// One thread of the ClientIO pool: owns a subset of connections, decodes
 /// requests, probes the reply cache, forwards to the Batcher, and writes
 /// replies handed over by the ServiceManager. Replies and newly accepted
@@ -63,9 +97,21 @@ pub(crate) fn run_client_io(ctx: &Ctx, index: usize) {
     let mut dead: Vec<u64> = Vec::new();
     let mut adopted: Vec<Box<dyn ClientConn>> = Vec::new();
     let mut replies: Vec<(u64, Reply)> = Vec::new();
+    let mut step_downs = ctx.shared.step_downs();
 
     while !ctx.is_shutdown() {
         let mut did_work = false;
+
+        // This replica stopped serving: tell every client at once rather
+        // than letting each find out by timing out.
+        if let Some(frame) = step_down_redirect(ctx, &mut step_downs) {
+            did_work = true;
+            for (id, state) in conns.iter_mut() {
+                if !state.send(frame.clone()) {
+                    dead.push(*id);
+                }
+            }
+        }
 
         // Adopt newly accepted connections.
         if ctx.intake_qs[index].try_pop_all(&mut adopted).is_ok() {
@@ -75,6 +121,7 @@ pub(crate) fn run_client_io(ctx: &Ctx, index: usize) {
                     conn.id(),
                     ConnState {
                         conn,
+                        backlog: false,
                         pending: None,
                     },
                 );
@@ -93,7 +140,8 @@ pub(crate) fn run_client_io(ctx: &Ctx, index: usize) {
             Err(PopError::Closed) => return,
         }
 
-        // Retry pushes that were paused on a full RequestQueue.
+        // Retry pushes that were paused on a full RequestQueue, and
+        // writes the socket could not take earlier.
         for (id, state) in conns.iter_mut() {
             if let Some(req) = state.pending.take() {
                 match ctx.request_q.try_push(req) {
@@ -102,7 +150,9 @@ pub(crate) fn run_client_io(ctx: &Ctx, index: usize) {
                     Err(PushError::Closed(_)) => return,
                 }
             }
-            let _ = id;
+            if state.backlog && !state.flush() {
+                dead.push(*id);
+            }
         }
 
         // Read from connections that are not paused.
@@ -162,11 +212,31 @@ fn deliver_reply(
     reply: Reply,
 ) {
     if let Some(state) = conns.get_mut(&conn_id) {
-        let frame = ClientMsg::Reply(reply).encode_to_vec();
-        if state.conn.send(frame).is_err() {
+        if !state.send(ClientMsg::Reply(reply).encode_to_vec()) {
             dead.push(conn_id);
         }
     }
+}
+
+/// The redirect a replica that is not serving answers with: a hint at the
+/// best-known leader, or none when this replica leads the view but has
+/// lost its quorum (§VI-E).
+fn redirect_frame(ctx: &Ctx) -> Vec<u8> {
+    let leader = ctx.shared.leader();
+    let hint = if leader == ctx.me { None } else { Some(leader) };
+    ClientMsg::Redirect { leader: hint }.encode_to_vec()
+}
+
+/// Returns the redirect to write on every connection when this replica
+/// has stepped down since the count in `seen` (which it updates), and is
+/// still not serving.
+pub(crate) fn step_down_redirect(ctx: &Ctx, seen: &mut u64) -> Option<Vec<u8>> {
+    let now = ctx.shared.step_downs();
+    if now == *seen {
+        return None;
+    }
+    *seen = now;
+    (!ctx.shared.is_serving()).then(|| redirect_frame(ctx))
 }
 
 /// What a ClientIO loop must do with one inbound frame, as decided by
@@ -207,13 +277,10 @@ pub(crate) fn classify_frame(ctx: &Ctx, index: usize, conn_id: u64, frame: &[u8]
         CacheOutcome::Stale => return FrameAction::Continue, // outdated duplicate
         CacheOutcome::Miss => {}
     }
-    if !ctx.shared.is_leader() {
-        // §VI-E: non-leaders refuse ordering work; point the client at
-        // the best-known leader.
-        let leader = ctx.shared.leader();
-        let hint = if leader == ctx.me { None } else { Some(leader) };
-        let frame = ClientMsg::Redirect { leader: hint }.encode_to_vec();
-        return FrameAction::Respond(frame);
+    if !ctx.shared.is_serving() {
+        // §VI-E: only a leader in contact with its quorum orders
+        // requests; point the client elsewhere.
+        return FrameAction::Respond(redirect_frame(ctx));
     }
     // Remember how to route the reply back (§V-D hand-over).
     ctx.shared.bind_client(request.id.client, index, conn_id);
@@ -229,7 +296,7 @@ pub(crate) fn classify_frame(ctx: &Ctx, index: usize, conn_id: u64, frame: &[u8]
 /// dropped.
 fn handle_frame(ctx: &Ctx, index: usize, state: &mut ConnState, frame: &[u8]) -> bool {
     match classify_frame(ctx, index, state.conn.id(), frame) {
-        FrameAction::Respond(f) => state.conn.send(f).is_ok(),
+        FrameAction::Respond(f) => state.send(f),
         FrameAction::Continue => true,
         FrameAction::Park(pending) => {
             state.pending = Some(pending);

@@ -1,5 +1,5 @@
-//! ReplicationCore threads (§V-C): Batcher, Protocol, FailureDetector,
-//! and Retransmitter.
+//! ReplicationCore threads (§V-C): Batcher, Protocol (which also runs
+//! failure detection, §V-C3), and Retransmitter.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use smr_metrics::ThreadState;
 use smr_paxos::{Action, BatchBuilder, Event, PaxosReplica};
 use smr_queue::PopError;
-use smr_types::{RequestId, Slot, View};
+use smr_types::{RequestId, Slot};
 use smr_wire::{Batch, ProtocolMsg, Request};
 
 use super::stage::{batch_key, BatchStamp, StageClock};
@@ -103,6 +103,12 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
 /// The Protocol thread (§V-C2): the single-threaded event loop around the
 /// pure Paxos state machine. Owns the log; everything it publishes goes
 /// through queues or the shared atomics.
+///
+/// It is also the failure detector (§V-C3): every `heartbeat_interval /
+/// 2` it hands the core an [`Event::Tick`], on which the core heartbeats
+/// idle links, suspects a silent leader and re-checks its own quorum.
+/// The loop still parks at most 1 ms on the DispatcherQueue, because
+/// nothing else wakes it when the Batcher hands over a proposal.
 pub(crate) fn run_protocol(ctx: &Ctx) {
     let handle = ctx.metrics.register_thread("Protocol");
     let mut core = PaxosReplica::new(ctx.me, ctx.config.clone());
@@ -132,7 +138,7 @@ pub(crate) fn run_protocol(ctx: &Ctx) {
         core.note_snapshot(seen_watermark);
         publish(ctx, &core);
     }
-    let tick_every = Duration::from_millis(25);
+    let tick_every = ctx.config.heartbeat_interval() / 2;
     let mut last_tick = Instant::now();
     loop {
         if ctx.is_shutdown() {
@@ -298,6 +304,16 @@ fn apply_actions(
                 pending_clocks.clear();
                 ctx.shared.set_view(view, leader, ctx.me);
             }
+            Action::ServingChanged { serving } => {
+                ctx.shared.set_serving(serving);
+                if !serving {
+                    // Every ClientIO thread redirects all of its
+                    // connections; evented ones may be in epoll_wait.
+                    for waker in &ctx.io_wakers {
+                        waker.ring();
+                    }
+                }
+            }
         }
     }
     if !deliveries.is_empty() && ctx.decision_q.push_many(deliveries.drain(..)).is_err() {
@@ -358,60 +374,6 @@ pub(crate) fn run_retransmitter(ctx: &Ctx) {
             }
         }
         ctx.send(entry.to, &entry.msg);
-    }
-}
-
-/// The FailureDetector thread (§V-C3): leader side sends heartbeats on
-/// idle links; follower side suspects a silent leader. Reads the
-/// ReplicaIO timestamps lock-free — timestamps only grow, so a delayed
-/// re-check is always safe.
-pub(crate) fn run_failure_detector(ctx: &Ctx) {
-    let handle = ctx.metrics.register_thread("FailureDetector");
-    let heartbeat = ctx.config.heartbeat_interval();
-    let suspect_after = ctx.config.suspect_timeout().as_nanos() as u64;
-    let mut observed_view = View::ZERO;
-    let mut view_since = ctx.shared.now_ns();
-    let mut suspected: Option<View> = None;
-    loop {
-        {
-            let _g = handle.enter(ThreadState::Other); // sleeping
-            std::thread::sleep(heartbeat / 2);
-        }
-        if ctx.is_shutdown() {
-            return;
-        }
-        let now = ctx.shared.now_ns();
-        let view = ctx.shared.view();
-        if view != observed_view {
-            observed_view = view;
-            view_since = now;
-            suspected = None;
-        }
-        if ctx.shared.is_leader() {
-            // Keep every follower's link warm so their detectors stay
-            // quiet, but only when the link has been idle (§V-C3: the
-            // ReplicaIO threads update timestamps; no heartbeat needed on
-            // busy links).
-            let hb = ProtocolMsg::Heartbeat {
-                view,
-                decided_upto: ctx.shared.decided_upto(),
-            };
-            for peer in ctx.config.peers(ctx.me) {
-                let idle_ns = now.saturating_sub(ctx.shared.last_send_ns(peer));
-                if idle_ns >= heartbeat.as_nanos() as u64 {
-                    ctx.send(smr_paxos::Target::One(peer), &hb);
-                }
-            }
-        } else {
-            let leader = ctx.shared.leader();
-            let last = ctx.shared.last_recv_ns(leader).max(view_since);
-            if now.saturating_sub(last) > suspect_after && suspected != Some(view) {
-                suspected = Some(view);
-                if ctx.dispatcher_q.push(Event::Suspect { view }).is_err() {
-                    return;
-                }
-            }
-        }
     }
 }
 

@@ -24,7 +24,9 @@ use smr_net::{ClientConn, ClientListener};
 use smr_queue::{PopError, PushError};
 use smr_wire::{ClientMsg, Codec, Reply, Request};
 
-use super::client_io::{classify_frame, run_acceptor, run_client_io, FrameAction};
+use super::client_io::{
+    classify_frame, run_acceptor, run_client_io, step_down_redirect, FrameAction,
+};
 use super::Ctx;
 
 /// Token reserved for the cross-thread waker; connection tokens are slab
@@ -189,6 +191,7 @@ pub(crate) fn run_evented_client_io(ctx: &Ctx, index: usize, opts: &EventedIoOpt
     let mut adopted: Vec<Box<dyn ClientConn>> = Vec::new();
     let mut replies: Vec<(u64, Reply)> = Vec::new();
     let mut events = mio::Events::with_capacity(256);
+    let mut step_downs = ctx.shared.step_downs();
 
     while !ctx.is_shutdown() {
         // 1. Adopt newly accepted connections dealt by the acceptor.
@@ -229,8 +232,23 @@ pub(crate) fn run_evented_client_io(ctx: &Ctx, index: usize, opts: &EventedIoOpt
             }
         }
 
-        // 2. Coalesce replies queued by the ServiceManager into the
-        // per-connection outbound buffers (flushed in phase 5).
+        // 2. Coalesce outbound frames into the per-connection buffers
+        // (flushed in phase 5): one redirect on every connection when
+        // this replica has stopped serving, then the replies queued by
+        // the ServiceManager.
+        if let Some(frame) = step_down_redirect(ctx, &mut step_downs) {
+            for (slot, st) in slots.iter_mut().enumerate() {
+                let Some(st) = st.as_mut() else {
+                    continue;
+                };
+                if !st.queue_frame(frame.clone(), opts) {
+                    dead.push(slot);
+                } else if !st.needs_flush {
+                    st.needs_flush = true;
+                    dirty.push(slot);
+                }
+            }
+        }
         match ctx.reply_qs[index].try_pop_all(&mut replies) {
             Ok(_) => {
                 for (conn_id, reply) in replies.drain(..) {

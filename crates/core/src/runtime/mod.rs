@@ -532,7 +532,7 @@ impl ReplicaBuilder {
         let send_drops = metrics.counter("net.send_drops");
         let ctx = Arc::new(Ctx {
             me,
-            shared: Arc::new(SharedState::new(n)),
+            shared: Arc::new(SharedState::new()),
             cache,
             metrics,
             queues: QueueRegistry::new(),
@@ -647,13 +647,6 @@ impl ReplicaBuilder {
             threads.push(spawn(
                 "Protocol".into(),
                 Box::new(move || core_threads::run_protocol(&ctx2)),
-            ));
-        }
-        {
-            let ctx2 = Arc::clone(&ctx);
-            threads.push(spawn(
-                "FailureDetector".into(),
-                Box::new(move || core_threads::run_failure_detector(&ctx2)),
             ));
         }
         {

@@ -22,7 +22,6 @@ pub(crate) fn run_sender(ctx: &Ctx, peer: ReplicaId) {
         match ctx.send_qs[peer.index()].pop_with(&handle) {
             Ok(msg) => {
                 let frame = msg.encode_to_vec();
-                ctx.shared.note_send(peer);
                 let sent = {
                     let _g = handle.enter(ThreadState::Other); // in send(2)
                     ctx.network.send_to(peer, frame)
@@ -43,8 +42,8 @@ pub(crate) fn run_sender(ctx: &Ctx, peer: ReplicaId) {
 }
 
 /// Receiver thread for one peer: blocks on the socket, deserializes, and
-/// feeds the DispatcherQueue. Also stamps the failure detector's
-/// last-received timestamp (lock-free, §V-C3).
+/// feeds the DispatcherQueue. The Protocol thread stamps arrivals for
+/// failure detection when it handles them (§V-C3).
 pub(crate) fn run_receiver(ctx: &Ctx, peer: ReplicaId) {
     let handle = ctx
         .metrics
@@ -55,23 +54,20 @@ pub(crate) fn run_receiver(ctx: &Ctx, peer: ReplicaId) {
             ctx.network.recv_from(peer)
         };
         match frame {
-            Ok(frame) => {
-                ctx.shared.note_recv(peer);
-                match ProtocolMsg::decode(&frame) {
-                    Ok(msg) => {
-                        if ctx
-                            .dispatcher_q
-                            .push_with(Event::Message { from: peer, msg }, &handle)
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                    Err(_) => {
-                        // Corrupt frame: drop it; retransmission recovers.
+            Ok(frame) => match ProtocolMsg::decode(&frame) {
+                Ok(msg) => {
+                    if ctx
+                        .dispatcher_q
+                        .push_with(Event::Message { from: peer, msg }, &handle)
+                        .is_err()
+                    {
+                        return;
                     }
                 }
-            }
+                Err(_) => {
+                    // Corrupt frame: drop it; retransmission recovers.
+                }
+            },
             Err(_) => {
                 if ctx.is_shutdown() {
                     return;

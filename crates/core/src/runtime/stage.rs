@@ -179,7 +179,7 @@ mod tests {
     fn disabled_stage_metrics_record_nothing() {
         let registry = MetricsRegistry::new();
         let stage = StageMetrics::new(&registry, false);
-        let shared = SharedState::new(3);
+        let shared = SharedState::new();
         assert_eq!(stage.stamp(&shared), 0);
         stage.record_sealed(BatchStamp {
             intake_ns: 5,

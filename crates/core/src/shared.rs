@@ -6,15 +6,15 @@
 //! module collects exactly those variables:
 //!
 //! * the current view / leader / leadership flag, written by the Protocol
-//!   thread, read by ClientIO (redirects) and the FailureDetector;
-//! * the decided frontier, written by the Protocol thread, read by the
-//!   FailureDetector (to stamp heartbeats);
-//! * per-peer last-send / last-receive timestamps, written by ReplicaIO
-//!   threads, read by the FailureDetector (§V-C3: timestamps only grow,
-//!   so the detector can re-check after the original delay without locks
-//!   or wakeups);
+//!   thread, read by ClientIO (redirect hints) and tests;
+//! * the serving flag and the step-down count, written by the Protocol
+//!   thread, read by ClientIO: only a serving leader admits requests, and
+//!   each step-down makes every ClientIO thread redirect all of its
+//!   connections at once;
+//! * the decided frontier, written by the Protocol thread;
 //! * the client connection table, written by ClientIO threads, read by
-//!   the ServiceManager to route replies (sharded like the reply cache).
+//!   the ServiceManager to route replies (sharded like the reply cache),
+//!   and cleared by a step-down so that only the serving leader replies.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
@@ -30,23 +30,29 @@ pub struct SharedState {
     view: AtomicU64,
     leader: AtomicU16,
     is_leader: AtomicBool,
+    serving: AtomicBool,
+    step_downs: AtomicU64,
     decided_upto: AtomicU64,
-    last_recv_ns: Vec<AtomicU64>,
-    last_send_ns: Vec<AtomicU64>,
     start: Instant,
     client_table: Vec<Mutex<HashMap<u64, (usize, u64)>>>,
 }
 
+impl Default for SharedState {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl SharedState {
-    /// Creates shared state for a cluster of `n` replicas.
-    pub fn new(n: usize) -> Self {
+    /// Creates the shared state of one replica.
+    pub fn new() -> Self {
         SharedState {
             view: AtomicU64::new(0),
             leader: AtomicU16::new(0),
             is_leader: AtomicBool::new(false),
+            serving: AtomicBool::new(false),
+            step_downs: AtomicU64::new(0),
             decided_upto: AtomicU64::new(0),
-            last_recv_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            last_send_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
             start: Instant::now(),
             client_table: (0..64).map(|_| Mutex::new(HashMap::new())).collect(),
         }
@@ -89,24 +95,33 @@ impl SharedState {
         Slot(self.decided_upto.load(Ordering::Acquire))
     }
 
-    /// Stamps a receive from `peer` (ReplicaIORcv threads).
-    pub fn note_recv(&self, peer: ReplicaId) {
-        self.last_recv_ns[peer.index()].store(self.now_ns().max(1), Ordering::Release);
+    /// Publishes whether this replica admits client requests (Protocol
+    /// thread only). Losing it ends every client route — a replica that
+    /// is not serving must not answer clients — and then bumps the
+    /// step-down count, whose `Release` pairs with the `Acquire` in
+    /// [`SharedState::step_downs`]: a ClientIO thread that sees the new
+    /// count also sees `serving == false`.
+    pub fn set_serving(&self, serving: bool) {
+        self.serving.store(serving, Ordering::Release);
+        if !serving {
+            for shard in &self.client_table {
+                shard.lock().clear();
+            }
+            self.step_downs.fetch_add(1, Ordering::Release);
+        }
     }
 
-    /// Stamps a send to `peer` (ReplicaIOSnd threads).
-    pub fn note_send(&self, peer: ReplicaId) {
-        self.last_send_ns[peer.index()].store(self.now_ns().max(1), Ordering::Release);
+    /// Whether this replica admits client requests: it leads and has
+    /// heard from a quorum within the suspicion window.
+    pub fn is_serving(&self) -> bool {
+        self.serving.load(Ordering::Acquire)
     }
 
-    /// Last receive timestamp from `peer` (0 = never).
-    pub fn last_recv_ns(&self, peer: ReplicaId) -> u64 {
-        self.last_recv_ns[peer.index()].load(Ordering::Acquire)
-    }
-
-    /// Last send timestamp to `peer` (0 = never).
-    pub fn last_send_ns(&self, peer: ReplicaId) -> u64 {
-        self.last_send_ns[peer.index()].load(Ordering::Acquire)
+    /// How many times this replica has stopped serving. A ClientIO
+    /// thread that sees the count change redirects every connection it
+    /// owns.
+    pub fn step_downs(&self) -> u64 {
+        self.step_downs.load(Ordering::Acquire)
     }
 
     /// Records that `client` is served by ClientIO thread `cio` over
@@ -137,7 +152,7 @@ mod tests {
 
     #[test]
     fn view_roundtrip() {
-        let s = SharedState::new(3);
+        let s = SharedState::new();
         s.set_view(View(4), ReplicaId(1), ReplicaId(1));
         assert_eq!(s.view(), View(4));
         assert_eq!(s.leader(), ReplicaId(1));
@@ -147,20 +162,25 @@ mod tests {
     }
 
     #[test]
-    fn timestamps_grow() {
-        let s = SharedState::new(2);
-        assert_eq!(s.last_recv_ns(ReplicaId(1)), 0, "never heard from peer");
-        s.note_recv(ReplicaId(1));
-        let t1 = s.last_recv_ns(ReplicaId(1));
-        assert!(t1 > 0);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        s.note_recv(ReplicaId(1));
-        assert!(s.last_recv_ns(ReplicaId(1)) >= t1);
+    fn stepping_down_clears_routes_and_counts() {
+        let s = SharedState::new();
+        s.set_serving(true);
+        s.bind_client(ClientId(9), 2, 77);
+        assert!(s.is_serving());
+        assert_eq!(s.step_downs(), 0);
+        s.set_serving(false);
+        assert!(!s.is_serving());
+        assert_eq!(s.step_downs(), 1);
+        assert_eq!(
+            s.client_route(ClientId(9)),
+            None,
+            "only a serving leader replies"
+        );
     }
 
     #[test]
     fn client_routes() {
-        let s = SharedState::new(1);
+        let s = SharedState::new();
         assert_eq!(s.client_route(ClientId(9)), None);
         s.bind_client(ClientId(9), 2, 77);
         assert_eq!(s.client_route(ClientId(9)), Some((2, 77)));
@@ -170,7 +190,7 @@ mod tests {
 
     #[test]
     fn decided_upto_roundtrip() {
-        let s = SharedState::new(1);
+        let s = SharedState::new();
         s.set_decided_upto(Slot(42));
         assert_eq!(s.decided_upto(), Slot(42));
     }

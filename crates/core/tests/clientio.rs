@@ -173,6 +173,50 @@ fn slow_reader_does_not_stall_other_clients() {
 }
 
 #[test]
+fn threaded_client_io_drops_a_reader_that_stopped_instead_of_blocking() {
+    // One replica, one thread-per-connection ClientIO thread: the client
+    // that stops reading and the healthy client share it.
+    let config = ClusterConfig::builder(1)
+        .client_io_threads(1)
+        .build()
+        .unwrap();
+    let cluster = InProcessCluster::start(config, |_| Box::new(KvService::new()));
+    let mut client = cluster.client();
+    client
+        .execute(&KvService::put(b"warmup", b"1"))
+        .expect("warm-up op");
+
+    // More requests than the connection's 64-frame outbound queue holds,
+    // and no reads: a blocking send would wedge the thread here.
+    let mut stalled = cluster
+        .hub()
+        .connect_client(ReplicaId(0))
+        .expect("connect raw client");
+    for seq in 0..120u64 {
+        let request = Request::new(
+            RequestId::new(ClientId(7777), SeqNum(seq)),
+            KvService::put(b"stalled", &seq.to_le_bytes()),
+        );
+        use smr_net::ClientEndpoint;
+        stalled
+            .send(ClientMsg::Request(request).encode_to_vec())
+            .expect("stalled client send");
+    }
+    for i in 0..40u32 {
+        client
+            .execute(&KvService::put(b"healthy", &i.to_le_bytes()))
+            .expect("healthy client must not be stalled by the stopped reader");
+    }
+    // The stopped reader stays connected (never dropped) through the
+    // shutdown, which must still finish promptly.
+    let started = Instant::now();
+    cluster.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+    drop(stalled);
+}
+
+#[test]
 fn many_idle_connections_do_not_stall_active_clients() {
     const IDLE_CONNS: usize = 500;
     const OPS: u32 = 60;

@@ -3,11 +3,14 @@
 //! at-most-once semantics.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use smr_core::{InProcessCluster, KvService, NullService, SequencerService};
-use smr_types::{ClusterConfig, ReplicaId};
+use smr_core::{EventedIoOptions, InProcessCluster, KvService, NullService, SequencerService};
+use smr_net::ClientEndpoint;
+use smr_types::{ClientId, ClusterConfig, ReplicaId, RequestId, SeqNum, View};
+use smr_wire::{ClientMsg, Codec, Request};
 
 fn small_config(n: usize) -> ClusterConfig {
     ClusterConfig::builder(n)
@@ -116,6 +119,120 @@ fn leader_crash_elects_new_leader_and_keeps_serving() {
     cluster.shutdown();
 }
 
+/// Cuts off the leader of view 0 under closed-loop client load and
+/// checks the failover budget: a request sent after the cut is answered
+/// by the new leader within 300 ms, a connection whose request the old
+/// leader admitted is redirected without asking again, and healing
+/// causes no second view change.
+fn isolated_leader_fails_over(cluster: InProcessCluster) {
+    let cluster = Arc::new(cluster);
+    cluster
+        .client()
+        .execute(&KvService::put(b"warm", b"up"))
+        .unwrap();
+    // A raw connection to the leader, served once so that its ClientIO
+    // thread owns it.
+    let mut raw = cluster.hub().connect_client(ReplicaId(0)).unwrap();
+    let raw_request = |seq: u64| {
+        let request = Request::new(
+            RequestId::new(ClientId(9_999), SeqNum(seq)),
+            KvService::put(b"raw", &seq.to_le_bytes()),
+        );
+        ClientMsg::Request(request).encode_to_vec()
+    };
+    raw.send(raw_request(0)).unwrap();
+    let first = raw.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+    assert!(matches!(ClientMsg::decode(&first), Ok(ClientMsg::Reply(_))));
+    let stop = Arc::new(AtomicBool::new(false));
+    let load: Vec<_> = (0..3)
+        .map(|t| {
+            let cluster = Arc::clone(&cluster);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut client = cluster.client();
+                let mut i = 0u32;
+                while !stop.load(Ordering::Relaxed) {
+                    let key = format!("load-{t}-{}", i % 16);
+                    client
+                        .execute(&KvService::put(key.as_bytes(), &i.to_le_bytes()))
+                        .expect("load client served across the failover");
+                    i += 1;
+                }
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(200));
+
+    cluster.crash(ReplicaId(0)); // leader of view 0
+    let cut = Instant::now();
+    raw.send(raw_request(1)).unwrap();
+    // A client that starts at the old leader, as its connected clients do.
+    let mut probe = cluster.client();
+    probe
+        .execute(&KvService::put(b"after", b"cut"))
+        .expect("request sent after the cut");
+    let answered = cut.elapsed();
+    assert!(
+        answered <= Duration::from_millis(300),
+        "answered {answered:?} after the cut"
+    );
+    // Only a serving leader admits requests, and it is a new one.
+    let old = cluster.replica(ReplicaId(0)).shared();
+    assert!(!old.is_serving(), "the cut-off leader stopped serving");
+    assert_eq!(old.view(), View(0), "and kept its view");
+    assert!((1..3).any(|r| cluster.replica(ReplicaId(r)).shared().is_serving()));
+    // The raw connection's request was admitted before the step-down and
+    // can never be decided there: the step-down itself tells it to move.
+    let frame = raw.recv_timeout(Duration::from_secs(2)).unwrap();
+    let frame = frame.expect("redirected without sending again");
+    assert!(
+        matches!(
+            ClientMsg::decode(&frame),
+            Ok(ClientMsg::Redirect { leader: None })
+        ),
+        "{:?}",
+        ClientMsg::decode(&frame)
+    );
+
+    cluster.heal(ReplicaId(0));
+    std::thread::sleep(Duration::from_millis(400));
+    stop.store(true, Ordering::Relaxed);
+    for t in load {
+        t.join().unwrap();
+    }
+    for r in 0..3 {
+        assert_eq!(
+            cluster.replica(ReplicaId(r)).shared().view(),
+            View(1),
+            "replica {r}: healing caused no second view change"
+        );
+    }
+    Arc::into_inner(cluster)
+        .expect("load clients done")
+        .shutdown();
+}
+
+// Default failure-detector settings: 20 ms heartbeats, 100 ms floor.
+
+#[test]
+fn isolated_leader_fails_over_within_300ms_threaded_client_io() {
+    isolated_leader_fails_over(InProcessCluster::start(ClusterConfig::new(3), |_| {
+        Box::new(KvService::new())
+    }));
+}
+
+#[test]
+fn isolated_leader_fails_over_within_300ms_evented_client_io() {
+    isolated_leader_fails_over(InProcessCluster::start_with(
+        ClusterConfig::new(3),
+        |_, builder| {
+            builder
+                .with_service(Box::new(KvService::new()))
+                .with_evented_client_io(2, EventedIoOptions::default())
+        },
+    ));
+}
+
 #[test]
 fn minority_crash_does_not_block_n5() {
     let cluster = InProcessCluster::start(small_config(5), |_| Box::new(NullService::new(8)));
@@ -183,7 +300,6 @@ fn per_thread_profiles_are_collected() {
         "Batcher",
         "Protocol",
         "Replica",
-        "FailureDetector",
         "Retransmitter",
     ] {
         assert!(
@@ -191,6 +307,8 @@ fn per_thread_profiles_are_collected() {
             "profile for {expected} missing: {names:?}"
         );
     }
+    // Failure detection runs inside the Protocol thread.
+    assert!(!names.contains(&"FailureDetector"), "{names:?}");
     // The paper's key property: time is overwhelmingly waiting, not
     // blocked, at low load.
     let table = snapshot.render_table();

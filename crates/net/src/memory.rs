@@ -321,6 +321,16 @@ impl ClientConn for MemoryServerConn {
     }
 }
 
+/// Dropping either half closes the connection: the other half drains
+/// what was already queued and then reads [`NetError::Closed`], as a
+/// socket peer reads EOF.
+impl Drop for MemoryServerConn {
+    fn drop(&mut self) {
+        self.incoming.close();
+        self.outgoing.close();
+    }
+}
+
 /// Listener handing out the server halves of client connections.
 #[derive(Debug)]
 pub struct MemoryClientListener {
@@ -356,6 +366,13 @@ impl ClientEndpoint for MemoryClientEndpoint {
             Err(PopError::Empty) => Ok(None),
             Err(PopError::Closed) => Err(NetError::Closed),
         }
+    }
+}
+
+impl Drop for MemoryClientEndpoint {
+    fn drop(&mut self) {
+        self.outgoing.close();
+        self.incoming.close();
     }
 }
 
@@ -428,6 +445,40 @@ mod tests {
                 .unwrap()
                 .unwrap(),
             b"pong"
+        );
+    }
+
+    #[test]
+    fn dropping_either_half_closes_the_connection() {
+        let hub = MemoryHub::new(1, 1);
+        let listener = hub.client_listener(ReplicaId(0));
+
+        // Client half dropped: the server drains what was sent, then
+        // both its receive and its send report Closed.
+        let mut client = hub.connect_client(ReplicaId(0)).unwrap();
+        client.send(b"last".to_vec()).unwrap();
+        let mut server = listener
+            .accept_timeout(Duration::from_secs(1))
+            .unwrap()
+            .expect("connection pending");
+        drop(client);
+        assert_eq!(server.try_recv().unwrap().unwrap(), b"last");
+        assert_eq!(server.try_recv(), Err(NetError::Closed));
+        assert_eq!(server.send(b"x".to_vec()), Err(NetError::Closed));
+        assert_eq!(server.try_send(b"x".to_vec(), 1024), Err(NetError::Closed));
+
+        // Server half dropped: the client's send and receive report
+        // Closed.
+        let mut client = hub.connect_client(ReplicaId(0)).unwrap();
+        let server = listener
+            .accept_timeout(Duration::from_secs(1))
+            .unwrap()
+            .expect("connection pending");
+        drop(server);
+        assert_eq!(client.send(b"x".to_vec()), Err(NetError::Closed));
+        assert_eq!(
+            client.recv_timeout(Duration::from_millis(10)),
+            Err(NetError::Closed)
         );
     }
 

@@ -21,14 +21,16 @@ pub enum Event {
         /// The message.
         msg: ProtocolMsg,
     },
-    /// The failure detector suspects the leader of `view`. Stale
-    /// suspicions (of older views) are ignored.
+    /// Suspect the leader of `view` now, as the core itself does on a
+    /// [`Event::Tick`] that finds the leader silent. Stale suspicions (of
+    /// older views) are ignored.
     Suspect {
         /// The view whose leader is suspected.
         view: View,
     },
-    /// Periodic housekeeping tick (catch-up re-issue, …). The real
-    /// runtime delivers one every few tens of milliseconds.
+    /// The periodic deadline: heartbeats on idle links, suspicion of a
+    /// silent leader, the leader's quorum check, catch-up re-issue. The
+    /// real runtime delivers one every `heartbeat_interval / 2`.
     Tick,
 }
 
@@ -98,13 +100,21 @@ pub enum Action {
     },
     /// Cancel every outstanding retransmission (on view change).
     CancelAllRetransmits,
-    /// The view changed; the failure detector should start monitoring (or
-    /// heartbeating, if this replica leads) `view`.
+    /// The view changed.
     LeaderChanged {
         /// The new view.
         view: View,
         /// Its leader.
         leader: ReplicaId,
+    },
+    /// [`crate::PaxosReplica::serving`] changed. `false`: this replica
+    /// stopped leading, or it leads but has heard from fewer than a
+    /// majority within the suspicion window, so it must stop admitting
+    /// client requests and point its clients elsewhere. `true`: it leads
+    /// with a quorum in contact again.
+    ServingChanged {
+        /// The new value.
+        serving: bool,
     },
     /// A straggler asked for slots this replica has compacted: ship the
     /// latest service snapshot to `to`. The runtime materializes the blob
@@ -135,6 +145,7 @@ impl Action {
             Action::CancelRetransmit { .. } => "CancelRetransmit",
             Action::CancelAllRetransmits => "CancelAllRetransmits",
             Action::LeaderChanged { .. } => "LeaderChanged",
+            Action::ServingChanged { .. } => "ServingChanged",
             Action::SendSnapshot { .. } => "SendSnapshot",
             Action::InstallSnapshot { .. } => "InstallSnapshot",
         }

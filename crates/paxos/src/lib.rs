@@ -22,10 +22,13 @@
 //! earlier), so a fresh cluster starts ordering immediately. A leader
 //! assigns consecutive slots to batches and sends `Propose` (Phase 2a);
 //! acceptors accept and broadcast `Accept` (Phase 2b) to *all* replicas, so
-//! every replica learns decisions directly. A replica suspects the leader
-//! (failure-detector event), advances to the next view, and the new
-//! leader runs `Prepare`/`Promise` (Phase 1) over the unstable log suffix
-//! before proposing again. Catch-up fills log gaps from peers.
+//! every replica learns decisions directly. A replica suspects a leader
+//! it has not heard from for longer than its adaptive threshold (checked
+//! on [`Event::Tick`]), advances to the next view, and the new leader
+//! runs `Prepare`/`Promise` (Phase 1) over the unstable log suffix
+//! before proposing again. A leader that hears from no quorum stops
+//! admitting client requests ([`Action::ServingChanged`]) without
+//! changing view. Catch-up fills log gaps from peers.
 //!
 //! # Examples
 //!
@@ -44,6 +47,7 @@
 //! ```
 
 mod batcher;
+mod detector;
 mod events;
 mod log;
 mod replica;

@@ -5,6 +5,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use smr_types::{ClusterConfig, CompactionPolicy, ReplicaId, Slot, SnapshotBlob, View};
 use smr_wire::{AcceptedEntry, Batch, ProtocolMsg};
 
+use crate::detector::Detector;
 use crate::events::{Action, Event, RetransmitKey, Target};
 use crate::log::Log;
 
@@ -29,8 +30,7 @@ const CATCHUP_TIMEOUT_NS: u64 = 200_000_000;
 ///
 /// Feed it [`Event`]s via [`PaxosReplica::handle`]; it appends [`Action`]s
 /// for the caller to carry out. See the crate docs for the protocol
-/// sketch and the division of labour with the failure detector and the
-/// retransmitter.
+/// sketch and the division of labour with the retransmitter.
 #[derive(Debug)]
 pub struct PaxosReplica {
     me: ReplicaId,
@@ -59,6 +59,11 @@ pub struct PaxosReplica {
     /// Under [`CompactionPolicy::SnapshotDriven`] nothing below this is
     /// ever compacted until a snapshot covers it.
     snapshot_watermark: Slot,
+    /// Per-peer liveness: heartbeats, suspicion, the quorum check.
+    detector: Detector,
+    /// Whether this replica admits client requests: it leads the view
+    /// and has heard from a quorum within the suspicion window.
+    serving: bool,
 }
 
 impl PaxosReplica {
@@ -76,7 +81,6 @@ impl PaxosReplica {
         let n = config.n();
         PaxosReplica {
             me,
-            config,
             view: View::ZERO,
             role: ReplicaRole::Follower,
             log: Log::new(),
@@ -92,6 +96,9 @@ impl PaxosReplica {
             // runtimes switch to `SnapshotDriven` via `set_compaction`.
             policy: CompactionPolicy::KeepSlots(4096),
             snapshot_watermark: Slot::ZERO,
+            detector: Detector::new(me, &config),
+            serving: false,
+            config,
         }
     }
 
@@ -123,6 +130,14 @@ impl PaxosReplica {
     /// Whether this replica leads the current view (preparing or leading).
     pub fn is_leader(&self) -> bool {
         self.leader() == self.me
+    }
+
+    /// Whether this replica admits client requests: it leads the current
+    /// view and, as of the last event handled, has heard from a majority
+    /// (itself included) within each peer's suspicion threshold. Changes
+    /// are also reported as [`Action::ServingChanged`].
+    pub fn serving(&self) -> bool {
+        self.serving
     }
 
     /// Number of parallel ballots currently executing (Table I's
@@ -228,18 +243,72 @@ impl PaxosReplica {
     /// Processes one event, appending resulting actions to `out`.
     ///
     /// `now_ns` is a monotonic timestamp supplied by the caller (real or
-    /// virtual time).
+    /// virtual time). It also drives failure detection: every message
+    /// stamps its sender's arrival, every emitted send stamps the link,
+    /// and [`Event::Tick`] acts on the stamps.
     pub fn handle(&mut self, event: Event, now_ns: u64, out: &mut Vec<Action>) {
+        let first = out.len();
+        let view = self.view;
         match event {
-            Event::Init => self.on_init(out),
+            Event::Init => self.on_init(now_ns, out),
             Event::Proposal(batch) => self.on_proposal(batch, out),
             Event::Message { from, msg } => self.on_message(from, msg, now_ns, out),
             Event::Suspect { view } => self.on_suspect(view, out),
-            Event::Tick => self.maybe_catchup(None, now_ns, out),
+            Event::Tick => self.on_tick(now_ns, out),
+        }
+        if self.view != view {
+            self.detector.view_started(now_ns);
+        }
+        self.detector.note_sends(&out[first..], now_ns);
+        self.update_serving(now_ns, out);
+    }
+
+    /// The periodic deadline (§V-C3): re-issue a stalled catch-up,
+    /// heartbeat idle links (a leader to every peer, a follower to its
+    /// leader, so an idle leader still sees its quorum), and suspect a
+    /// leader silent past its threshold.
+    fn on_tick(&mut self, now_ns: u64, out: &mut Vec<Action>) {
+        self.maybe_catchup(None, now_ns, out);
+        let leader = self.leader();
+        let heartbeat = ProtocolMsg::Heartbeat {
+            view: self.view,
+            decided_upto: self.log.first_gap(),
+        };
+        for peer in self.config.peers(self.me) {
+            if (self.me == leader || peer == leader) && self.detector.heartbeat_due(peer, now_ns) {
+                out.push(Action::Send {
+                    to: Target::One(peer),
+                    msg: heartbeat.clone(),
+                });
+            }
+        }
+        if self.me != leader && !self.detector.alive(leader, now_ns) {
+            self.on_suspect(self.view, out);
         }
     }
 
-    fn on_init(&mut self, out: &mut Vec<Action>) {
+    /// Re-evaluates [`PaxosReplica::serving`], reporting a change. A
+    /// leader that has heard from fewer than a majority within the
+    /// suspicion window stops admitting requests but keeps its view: it
+    /// starts no election, follows a higher view when it hears one, and
+    /// serves again as soon as contact returns.
+    fn update_serving(&mut self, now_ns: u64, out: &mut Vec<Action>) {
+        let serving = self.is_leader() && {
+            let alive = self
+                .config
+                .peers(self.me)
+                .filter(|p| self.detector.alive(*p, now_ns))
+                .count();
+            1 + alive >= self.config.majority()
+        };
+        if serving != self.serving {
+            self.serving = serving;
+            out.push(Action::ServingChanged { serving });
+        }
+    }
+
+    fn on_init(&mut self, now_ns: u64, out: &mut Vec<Action>) {
+        self.detector.view_started(now_ns);
         // View 0 is prepared by convention: nothing can have been accepted
         // in an earlier view, so Phase 1 is vacuous.
         if self.is_leader() {
@@ -456,6 +525,7 @@ impl PaxosReplica {
         if !self.config.contains(from) {
             return;
         }
+        self.detector.note_recv(from, now_ns);
         match msg {
             ProtocolMsg::Prepare {
                 view,

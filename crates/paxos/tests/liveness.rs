@@ -194,3 +194,190 @@ fn heartbeats_advance_follower_knowledge() {
         "nothing to catch up"
     );
 }
+
+const MS: u64 = 1_000_000;
+
+/// A clocked cluster for failure-detection scenarios: every replica gets
+/// an [`Event::Tick`] each `tick` of virtual time (half the default
+/// heartbeat interval, as in the runtime), messages are delivered at
+/// once, and one replica can be cut off from all of its peers.
+struct Clocked {
+    replicas: Vec<PaxosReplica>,
+    now: u64,
+    tick: u64,
+    cut: Option<ReplicaId>,
+    /// `ServingChanged` actions seen, per replica, with their time.
+    serving_changes: Vec<Vec<(u64, bool)>>,
+}
+
+impl Clocked {
+    fn new(n: usize) -> Self {
+        let config = ClusterConfig::new(n);
+        let tick = config.heartbeat_interval().as_nanos() as u64 / 2;
+        let mut net = Clocked {
+            replicas: (0..n as u16)
+                .map(|i| PaxosReplica::new(ReplicaId(i), config.clone()))
+                .collect(),
+            now: 0,
+            tick,
+            cut: None,
+            serving_changes: vec![Vec::new(); n],
+        };
+        for i in 0..n as u16 {
+            net.event(ReplicaId(i), Event::Init);
+        }
+        net
+    }
+
+    fn event(&mut self, at: ReplicaId, event: Event) {
+        let mut actions = Vec::new();
+        self.replicas[at.index()].handle(event, self.now, &mut actions);
+        let n = self.replicas.len();
+        for a in actions {
+            match a {
+                Action::Send { to, msg } => {
+                    let targets: Vec<ReplicaId> = match to {
+                        Target::All => (0..n as u16).map(ReplicaId).filter(|r| *r != at).collect(),
+                        Target::One(r) => vec![r],
+                    };
+                    for t in targets {
+                        if self.cut != Some(at) && self.cut != Some(t) {
+                            self.event(
+                                t,
+                                Event::Message {
+                                    from: at,
+                                    msg: msg.clone(),
+                                },
+                            );
+                        }
+                    }
+                }
+                Action::ServingChanged { serving } => {
+                    self.serving_changes[at.index()].push((self.now, serving));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Advances virtual time to `until`, ticking every replica on the way.
+    fn run_until(&mut self, until: u64) {
+        while self.now + self.tick <= until {
+            self.now += self.tick;
+            for r in 0..self.replicas.len() as u16 {
+                self.event(ReplicaId(r), Event::Tick);
+            }
+        }
+    }
+
+    fn views(&self) -> Vec<View> {
+        self.replicas.iter().map(|r| r.view()).collect()
+    }
+}
+
+#[test]
+fn idle_cluster_keeps_its_leader() {
+    let mut net = Clocked::new(3);
+    net.run_until(2_000 * MS);
+    assert_eq!(net.views(), vec![View(0); 3], "heartbeats keep view 0");
+    assert!(net.replicas[0].serving());
+    assert_eq!(net.serving_changes[0], vec![(0, true)]);
+}
+
+#[test]
+fn leader_without_quorum_stops_serving_without_changing_view() {
+    let mut net = Clocked::new(3);
+    let floor = ClusterConfig::new(3).suspect_timeout().as_nanos() as u64;
+    net.run_until(200 * MS);
+    net.cut = Some(ReplicaId(0));
+    let cut_at = net.now;
+    net.run_until(cut_at + floor + net.tick);
+    let old = &net.replicas[0];
+    assert!(!old.serving(), "no quorum contact: stop serving");
+    assert_eq!(old.view(), View(0), "the cut-off leader keeps its view");
+    assert_eq!(old.role(), ReplicaRole::Leading, "and starts no election");
+    let (at, serving) = *net.serving_changes[0].last().unwrap();
+    assert!(!serving && at > cut_at && at <= cut_at + floor + net.tick);
+    // The survivors elected replica 1 in view 1, and it serves.
+    assert_eq!(net.replicas[1].view(), View(1));
+    assert_eq!(net.replicas[2].view(), View(1));
+    assert!(net.replicas[1].serving());
+    // Healing causes no second view change: the old leader follows
+    // view 1 and stays out of service.
+    net.cut = None;
+    net.run_until(cut_at + 1_000 * MS);
+    assert_eq!(net.views(), vec![View(1); 3]);
+    assert_eq!(net.replicas[0].role(), ReplicaRole::Follower);
+    assert!(!net.replicas[0].serving());
+    assert!(net.replicas[1].serving());
+}
+
+#[test]
+fn follower_suspects_a_silent_leader_within_the_floor() {
+    let mut net = Clocked::new(3);
+    let floor = ClusterConfig::new(3).suspect_timeout().as_nanos() as u64;
+    net.run_until(200 * MS);
+    net.cut = Some(ReplicaId(0));
+    let cut_at = net.now;
+    let mut suspected_at = None;
+    while suspected_at.is_none() && net.now < cut_at + 2 * floor {
+        net.run_until(net.now + net.tick);
+        if net.replicas[1].view() > View(0) {
+            suspected_at = Some(net.now);
+        }
+    }
+    let at = suspected_at.expect("the follower suspected the leader");
+    // The last heartbeat arrived at most one heartbeat interval before
+    // the cut; suspicion comes one tick after the floor has passed.
+    assert!(
+        at - cut_at <= floor + net.tick,
+        "suspected after {} ms",
+        (at - cut_at) / MS
+    );
+    assert!(at - cut_at >= floor - 2 * net.tick, "suspected too early");
+}
+
+/// Feeds follower 1 heartbeats from leader 0 spaced `gap` apart for one
+/// second, then silence; returns how long after the last heartbeat the
+/// follower suspected the leader.
+fn suspicion_delay_after_gaps(gap: u64) -> u64 {
+    let config = ClusterConfig::new(3);
+    let tick = config.heartbeat_interval().as_nanos() as u64 / 2;
+    let mut follower = PaxosReplica::new(ReplicaId(1), config);
+    let mut out = Vec::new();
+    follower.handle(Event::Init, 0, &mut out);
+    let mut now = 0;
+    let mut last_heartbeat = 0;
+    while now < 1_000 * MS || follower.view() == View(0) {
+        now += tick;
+        if now < 1_000 * MS && now - last_heartbeat >= gap {
+            last_heartbeat = now;
+            let msg = ProtocolMsg::Heartbeat {
+                view: View(0),
+                decided_upto: Slot(0),
+            };
+            follower.handle(
+                Event::Message {
+                    from: ReplicaId(0),
+                    msg,
+                },
+                now,
+                &mut out,
+            );
+        }
+        follower.handle(Event::Tick, now, &mut out);
+        assert!(now < 10_000 * MS, "never suspected");
+    }
+    now - last_heartbeat
+}
+
+#[test]
+fn suspicion_threshold_rises_under_gap_bursts() {
+    // Regular 20 ms gaps: suspicion right after the 100 ms floor.
+    let regular = suspicion_delay_after_gaps(20 * MS);
+    assert!((100 * MS..=110 * MS).contains(&regular), "{regular}");
+    // A sender seen stalling 60 ms at a time earns a 2 x 60 ms threshold:
+    // a 110 ms silence from it is not yet a failure.
+    let bursty = suspicion_delay_after_gaps(60 * MS);
+    assert!((120 * MS..=130 * MS).contains(&bursty), "{bursty}");
+}

@@ -108,6 +108,23 @@ pub struct QueueStats {
 #[repr(align(64))]
 struct CachePadded<T>(T);
 
+/// The top bit of `enqueue_head`: set once by [`Ring::close`]; every
+/// position read from `enqueue_head` is masked with [`POS_MASK`].
+const CLOSED: u64 = 1 << 63;
+
+/// The position part of `enqueue_head`.
+const POS_MASK: u64 = CLOSED - 1;
+
+/// Outcome of [`Ring::claim_push`].
+enum Claim {
+    /// `(first position, count)` of a claimed run.
+    Got(u64, usize),
+    /// No free slot right now.
+    Full,
+    /// The ring is closed; no claim will ever succeed again.
+    Closed,
+}
+
 /// The lock-free bounded MPMC ring: four cache-line-padded position
 /// counters around a bare value array, in the in-order-frontier style
 /// of DPDK's `rte_ring` (rather than the per-slot-sequence Vyukov
@@ -124,7 +141,24 @@ struct CachePadded<T>(T);
 /// that producers measure free space against.
 ///
 /// Invariant: `dequeue_tail ≤ dequeue_head ≤ enqueue_tail ≤
-/// enqueue_head`, and `enqueue_head − dequeue_tail ≤ cap`.
+/// enqueue_head`, and `enqueue_head − dequeue_tail ≤ cap` (positions
+/// taken without the [`CLOSED`] bit).
+///
+/// # Close
+///
+/// The closed flag is the top bit of `enqueue_head` itself, set by
+/// [`Ring::close`] with one `fetch_or`. A producer's claim is a CAS
+/// from a head value it read *without* the bit, so a claim racing the
+/// close either lands first (its run is then below the frozen head and
+/// is drained like any other) or fails and re-reads the bit. Close and
+/// claim are therefore one total order on one word: after the bit is
+/// set no claim succeeds and the position part of the head never moves
+/// again. A consumer that observes the bit and then finds
+/// `dequeue_head` equal to that frozen head has drained every accepted
+/// item, which is the only condition under which it reports `Closed`.
+/// (With a separate flag, a producer could check "open", a consumer
+/// could see "closed and empty" and return `Closed`, and the producer
+/// could then claim, publish and report `Ok` for items nobody pops.)
 ///
 /// The payoff over per-slot sequence numbers is that *nothing
 /// per-item* remains on the hot path: a burst costs one CAS and one
@@ -157,6 +191,7 @@ struct CachePadded<T>(T);
 ///   and the lock serializes "about to wait" with "about to notify".
 struct Ring<T> {
     /// Producer claim frontier: slots below are claimed for writing.
+    /// Its top bit is the closed flag ([`CLOSED`]).
     enqueue_head: CachePadded<AtomicU64>,
     /// Published frontier: every position below is fully written.
     enqueue_tail: CachePadded<AtomicU64>,
@@ -178,6 +213,10 @@ impl<T> Ring<T> {
     /// Creates a ring of `capacity` slots whose absolute positions start
     /// at `start` (non-zero starts exercise index wraparound in tests).
     fn new(capacity: usize, start: u64) -> Self {
+        assert!(
+            start & CLOSED == 0,
+            "start index must leave the closed bit clear"
+        );
         let data: Box<[UnsafeCell<MaybeUninit<T>>]> = (0..capacity)
             .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
             .collect();
@@ -193,18 +232,26 @@ impl<T> Ring<T> {
 
     /// Claims up to `want` contiguous slots starting at the current
     /// tail: one load of the freed frontier and one CAS, no per-slot
-    /// work. Returns `(first position, count)`, or `None` when no free
+    /// work. Returns the claimed run, [`Claim::Full`] when no free
     /// space exists (queue full, or the freeing consumer has claimed
-    /// items but not yet advanced `dequeue_tail`).
+    /// items but not yet advanced `dequeue_tail`), or [`Claim::Closed`]
+    /// once [`Ring::close`] has set the closed bit.
     ///
     /// Reading `enqueue_head` *before* `dequeue_tail` means the free
     /// space can only be under-estimated by a racing release — and a
     /// stale head is caught by the CAS — so a successful claim never
-    /// covers a slot that still holds an unconsumed value.
-    fn claim_push(&self, want: usize) -> Option<(u64, usize)> {
+    /// covers a slot that still holds an unconsumed value. The CAS
+    /// expects a head without the closed bit, so it fails on a close
+    /// that landed after the load.
+    fn claim_push(&self, want: usize) -> Claim {
         let want = want.min(self.cap as usize) as u64;
         loop {
+            // A stale load (missing a close or another claim) is caught
+            // by the CAS below, which expects exactly this value.
             let e = self.enqueue_head.0.load(Ordering::Relaxed);
+            if e & CLOSED != 0 {
+                return Claim::Closed;
+            }
             let freed = self.dequeue_tail.0.load(Ordering::SeqCst);
             // `freed` was loaded second, so it can exceed a stale `e`;
             // the saturation makes that harmless (the CAS fails on a
@@ -216,7 +263,7 @@ impl<T> Ring<T> {
                 if self.enqueue_head.0.load(Ordering::Relaxed) != e {
                     continue;
                 }
-                return None;
+                return Claim::Full;
             }
             if self
                 .enqueue_head
@@ -224,9 +271,25 @@ impl<T> Ring<T> {
                 .compare_exchange_weak(e, e + run, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
-                return Some((e, run as usize));
+                return Claim::Got(e, run as usize);
             }
         }
+    }
+
+    /// Sets the closed bit. Every claim ordered after this RMW fails;
+    /// every claim ordered before it is below the frozen head.
+    fn close(&self) {
+        self.enqueue_head.0.fetch_or(CLOSED, Ordering::SeqCst);
+    }
+
+    /// Whether [`Ring::close`] has run.
+    fn is_closed(&self) -> bool {
+        self.enqueue_head.0.load(Ordering::SeqCst) & CLOSED != 0
+    }
+
+    /// The producer claim frontier as a position (closed bit masked).
+    fn claimed_upto(&self) -> u64 {
+        self.enqueue_head.0.load(Ordering::SeqCst) & POS_MASK
     }
 
     /// Claims up to `max` *committed* items from the head — everything
@@ -250,7 +313,7 @@ impl<T> Ring<T> {
             // Loaded after `d`: a lower bound on the claims-committed
             // frontier at CAS time, so `d..d + run` only covers items
             // some producer owns and will publish.
-            let committed = self.enqueue_head.0.load(Ordering::SeqCst);
+            let committed = self.claimed_upto();
             let run = committed.saturating_sub(d).min(max);
             if run == 0 {
                 if self.dequeue_head.0.load(Ordering::Relaxed) != d {
@@ -415,7 +478,7 @@ impl<T> Ring<T> {
     /// `cap` (the dequeue head can only have advanced further by the
     /// time it is read).
     fn len(&self) -> usize {
-        let e = self.enqueue_head.0.load(Ordering::SeqCst);
+        let e = self.claimed_upto();
         let d = self.dequeue_head.0.load(Ordering::SeqCst);
         e.saturating_sub(d).min(self.cap) as usize
     }
@@ -424,7 +487,7 @@ impl<T> Ring<T> {
     /// the committed range, so `enqueue_head != dequeue_head` means a
     /// claim would succeed and the consumer must not sleep).
     fn pop_ready(&self) -> bool {
-        let e = self.enqueue_head.0.load(Ordering::SeqCst);
+        let e = self.claimed_upto();
         let d = self.dequeue_head.0.load(Ordering::SeqCst);
         e != d
     }
@@ -435,7 +498,7 @@ impl<T> Ring<T> {
     /// more often, and a spurious ready just loops back to a failing
     /// claim.
     fn push_ready(&self) -> bool {
-        let e = self.enqueue_head.0.load(Ordering::SeqCst);
+        let e = self.claimed_upto();
         let freed = self.dequeue_tail.0.load(Ordering::SeqCst);
         e.saturating_sub(freed) < self.cap
     }
@@ -493,11 +556,6 @@ struct Inner<T> {
     /// Producers parked on `not_full`; the dual of `pop_sleepers`.
     push_sleepers: AtomicUsize,
     capacity: usize,
-    // Close-wakes-waiters handshake: `close` stores the flag and *then*
-    // acquires `waiters` before notifying. Any would-be sleeper either
-    // observes the flag during its under-lock re-check, or is already
-    // parked and receives the notify.
-    closed: AtomicBool,
     name: String,
     pushed: Counter,
     popped: Counter,
@@ -530,7 +588,7 @@ impl<T> Inner<T> {
     /// the queue).
     fn note_pop(&self, first: u64, n: usize) {
         self.popped.add(n as u64);
-        let e = self.ring.enqueue_head.0.load(Ordering::SeqCst);
+        let e = self.ring.claimed_upto();
         let len = e.saturating_sub(first + n as u64).min(self.capacity as u64);
         self.depth.set(len as i64);
     }
@@ -686,7 +744,8 @@ impl<T> BoundedQueue<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
+    /// Panics if `capacity == 0`, or if `start` has its top bit set (that
+    /// bit of the claim head is the closed flag).
     pub fn with_start_index(name: impl Into<String>, capacity: usize, start: u64) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         BoundedQueue {
@@ -699,7 +758,6 @@ impl<T> BoundedQueue<T> {
                 pop_wake_pending: AtomicBool::new(false),
                 push_sleepers: AtomicUsize::new(0),
                 capacity,
-                closed: AtomicBool::new(false),
                 name: name.into(),
                 pushed: Counter::new(),
                 popped: Counter::new(),
@@ -734,19 +792,21 @@ impl<T> BoundedQueue<T> {
 
     /// Whether [`BoundedQueue::close`] has been called.
     pub fn is_closed(&self) -> bool {
-        self.inner.closed.load(Ordering::SeqCst)
+        self.inner.ring.is_closed()
     }
 
     /// Closes the queue: subsequent pushes fail, pops drain remaining
     /// items and then report [`PopError::Closed`]. All waiters wake.
     ///
-    /// The store-then-lock-then-notify order is load-bearing: a thread
-    /// that read `closed == false` during its under-lock park re-check
-    /// is either still holding the slow-path lock (so this call's
-    /// `notify_all` happens after it releases into the wait) or already
-    /// parked — either way it receives the wake and re-checks the flag.
+    /// The closed flag lives in the ring's claim head, so a push either
+    /// claimed before this call (and its items are drained) or fails
+    /// (see `Ring`). The set-then-lock-then-notify order is
+    /// load-bearing: a thread that read "open" during its under-lock
+    /// park re-check is either still holding the slow-path lock (so this
+    /// call's `notify_all` happens after it releases into the wait) or
+    /// already parked — either way it receives the wake and re-checks.
     pub fn close(&self) {
-        self.inner.closed.store(true, Ordering::SeqCst);
+        self.inner.ring.close();
         let _guard = self.inner.waiters.lock();
         self.inner.not_empty.notify_all();
         self.inner.not_full.notify_all();
@@ -795,7 +855,7 @@ impl<T> BoundedQueue<T> {
         let inner = &*self.inner;
         let mut guard = inner.waiters.lock();
         inner.pop_sleepers.fetch_add(1, Ordering::SeqCst);
-        if inner.ring.pop_ready() || inner.closed.load(Ordering::SeqCst) {
+        if inner.ring.pop_ready() || inner.ring.is_closed() {
             inner.pop_sleepers.fetch_sub(1, Ordering::SeqCst);
             return false;
         }
@@ -826,7 +886,7 @@ impl<T> BoundedQueue<T> {
         let inner = &*self.inner;
         let mut guard = inner.waiters.lock();
         inner.push_sleepers.fetch_add(1, Ordering::SeqCst);
-        if inner.ring.push_ready() || inner.closed.load(Ordering::SeqCst) {
+        if inner.ring.push_ready() || inner.ring.is_closed() {
             inner.push_sleepers.fetch_sub(1, Ordering::SeqCst);
             return;
         }
@@ -875,21 +935,19 @@ impl<T> BoundedQueue<T> {
     }
 
     fn push_impl(&self, item: T, handle: Option<&ThreadHandle>) -> Result<(), PushError<T>> {
-        if self.is_closed() {
-            return Err(PushError::Closed(item));
-        }
         let mut counted = false;
         let mut wait_guard = None;
         loop {
-            if let Some((pos, _)) = self.inner.ring.claim_push(1) {
-                unsafe { self.inner.ring.write(pos, item) };
-                self.inner.ring.publish(pos, 1);
-                self.inner.note_push(pos, 1);
-                self.inner.wake_consumers();
-                return Ok(());
-            }
-            if self.is_closed() {
-                return Err(PushError::Closed(item));
+            match self.inner.ring.claim_push(1) {
+                Claim::Got(pos, _) => {
+                    unsafe { self.inner.ring.write(pos, item) };
+                    self.inner.ring.publish(pos, 1);
+                    self.inner.note_push(pos, 1);
+                    self.inner.wake_consumers();
+                    return Ok(());
+                }
+                Claim::Closed => return Err(PushError::Closed(item)),
+                Claim::Full => {}
             }
             if wait_guard.is_none() {
                 wait_guard = handle.map(|h| h.enter(ThreadState::Waiting));
@@ -968,16 +1026,6 @@ impl<T> BoundedQueue<T> {
         let mut counted = false;
         let mut wait_guard = None;
         loop {
-            if self.is_closed() {
-                let mut rest: Vec<T> = staged;
-                rest.extend(iter);
-                if rest.is_empty() && total == 0 {
-                    // Closed before anything was staged or pushed: the
-                    // empty-input contract is Ok(0).
-                    return Ok(0);
-                }
-                return Err(PushError::Closed(rest));
-            }
             if staged.is_empty() && !exhausted {
                 // Stage up to one queue's worth; more can never be
                 // claimed in one burst anyway.
@@ -988,7 +1036,7 @@ impl<T> BoundedQueue<T> {
                 return Ok(total);
             }
             match self.inner.ring.claim_push(staged.len()) {
-                Some((first, n)) => {
+                Claim::Got(first, n) => {
                     let ring = &self.inner.ring;
                     // Bitwise-move the claimed prefix into the ring,
                     // shift any unclaimed remainder to the front, and
@@ -1009,7 +1057,12 @@ impl<T> BoundedQueue<T> {
                     // wait episode for the stats.
                     counted = false;
                 }
-                None => {
+                Claim::Closed => {
+                    let mut rest: Vec<T> = staged;
+                    rest.extend(iter);
+                    return Err(PushError::Closed(rest));
+                }
+                Claim::Full => {
                     if wait_guard.is_none() {
                         wait_guard = handle.map(|h| h.enter(ThreadState::Waiting));
                     }
@@ -1026,18 +1079,16 @@ impl<T> BoundedQueue<T> {
     /// Returns [`PushError::Full`] or [`PushError::Closed`], handing the
     /// item back.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        if self.is_closed() {
-            return Err(PushError::Closed(item));
-        }
         match self.inner.ring.claim_push(1) {
-            Some((pos, _)) => {
+            Claim::Got(pos, _) => {
                 unsafe { self.inner.ring.write(pos, item) };
                 self.inner.ring.publish(pos, 1);
                 self.inner.note_push(pos, 1);
                 self.inner.wake_consumers();
                 Ok(())
             }
-            None => {
+            Claim::Closed => Err(PushError::Closed(item)),
+            Claim::Full => {
                 // A rejected non-blocking push is the try-path's
                 // equivalent of a blocked push: count it so backpressure
                 // stays visible in Table I-style stats regardless of

@@ -439,6 +439,7 @@ async fn route_actions(
             | Action::CancelRetransmit { .. }
             | Action::CancelAllRetransmits
             | Action::LeaderChanged { .. }
+            | Action::ServingChanged { .. }
             | Action::SendSnapshot { .. }
             | Action::InstallSnapshot { .. } => {}
         }

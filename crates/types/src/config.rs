@@ -165,8 +165,8 @@ impl ClusterConfig {
                 decision_queue_capacity: 1024,
                 send_queue_capacity: 4096,
                 reply_queue_capacity: 4096,
-                heartbeat_interval: Duration::from_millis(100),
-                suspect_timeout: Duration::from_millis(500),
+                heartbeat_interval: Duration::from_millis(20),
+                suspect_timeout: Duration::from_millis(100),
                 reply_cache_shards: 16,
             },
         }
@@ -239,12 +239,18 @@ impl ClusterConfig {
         self.reply_queue_capacity
     }
 
-    /// Leader heartbeat period for the failure detector.
+    /// Heartbeat period of the failure detector: a link that carried
+    /// nothing for this long gets a heartbeat (leader to followers,
+    /// followers to the leader). The Protocol thread checks the
+    /// detector every half period.
     pub fn heartbeat_interval(&self) -> Duration {
         self.heartbeat_interval
     }
 
-    /// Silence interval after which the leader is suspected.
+    /// The floor of the suspicion threshold: a follower suspects its
+    /// leader, and a leader stops serving without a quorum, after a
+    /// silence this long — or longer, when the peer recently showed
+    /// longer inter-arrival gaps (the threshold adapts to them).
     pub fn suspect_timeout(&self) -> Duration {
         self.suspect_timeout
     }
@@ -349,7 +355,7 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Sets the leader-suspect timeout.
+    /// Sets the floor of the suspicion threshold.
     pub fn suspect_timeout(mut self, timeout: Duration) -> Self {
         self.config.suspect_timeout = timeout;
         self

@@ -101,7 +101,8 @@ pub enum ProtocolMsg {
         /// Decided `(slot, value)` pairs.
         entries: Vec<(Slot, Batch)>,
     },
-    /// Failure-detector heartbeat from the leader of `view`.
+    /// Failure-detector heartbeat on an otherwise idle link: from the
+    /// leader of `view` to a follower, or from a follower to its leader.
     Heartbeat {
         /// The sender's current view.
         view: View,

@@ -21,11 +21,9 @@ fn bench_queue(c: &mut Criterion) {
         b.iter_custom(|iters| smr_bench::queue_uncontended_scalar(iters).1);
     });
 
-    // With the vendored crossbeam shim this is std::sync::mpsc under the
-    // hood, so it is labelled as a generic channel baseline rather than
-    // claiming real crossbeam numbers.
-    group.bench_function("channel_baseline_push_pop_uncontended", |b| {
-        let (tx, rx) = crossbeam::channel::bounded(1024);
+    // Baseline: the standard library's bounded channel.
+    group.bench_function("std_sync_channel_push_pop_uncontended", |b| {
+        let (tx, rx) = std::sync::mpsc::sync_channel(1024);
         b.iter(|| {
             tx.send(std::hint::black_box(42u64)).unwrap();
             std::hint::black_box(rx.recv().unwrap());

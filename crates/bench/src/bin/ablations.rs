@@ -1,5 +1,5 @@
-//! Ablations of the design choices DESIGN.md calls out (§V of the
-//! paper), all at parapluie/24 cores/n=3:
+//! Ablations of the paper's design choices (§V), all at parapluie/24
+//! cores/n=3:
 //!
 //! * **Batcher offload** (§V-C1): fold batch construction into the
 //!   Protocol thread's critical path instead of the dedicated Batcher

@@ -5,9 +5,7 @@
 //! measure the same workload).
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4 for the index) and prints the same rows or
-//! series the paper plots, so EXPERIMENTS.md can record
-//! paper-vs-measured side by side.
+//! paper and prints the same rows or series the paper plots.
 
 use std::fmt::Write as _;
 use std::time::Duration;

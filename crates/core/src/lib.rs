@@ -11,9 +11,9 @@
 //! ServiceManager ("Replica" thread) ◀──DecisionQueue───────────┘ │
 //!                                                                │
 //! ReplicaIORcv-p ────────────────────────────────────────────────┘
-//! ReplicaIOSnd-p ◀──SendQueue-p── Protocol / Retransmitter
-//! Protocol        (Tick every heartbeat/2: failure detection — §V-C3)
-//! Retransmitter   (TimerQueue; atomic cancel flags — §V-C4)
+//! ReplicaIOSnd-p ◀──SendQueue-p── Protocol
+//! Protocol        (Tick every heartbeat/2: failure detection — §V-C3,
+//!                  retransmission — §V-C4)
 //! ```
 //!
 //! Module-by-module correspondence with the paper:
@@ -26,12 +26,12 @@
 //! * **ReplicaIO** (§V-B): one sender + one receiver thread per peer,
 //!   blocking I/O, dedicated SendQueues so the Protocol thread never
 //!   blocks on a socket.
-//! * **ReplicationCore** (§V-C): Batcher, Protocol and Retransmitter
-//!   threads around the pure [`smr_paxos::PaxosReplica`] state machine,
-//!   under the no-lock rule (queues, atomics, and the volatile-flag
-//!   retransmission cancel). Failure detection (heartbeats, adaptive
-//!   suspicion, the leader's quorum check) runs inside the core on the
-//!   Protocol thread's periodic tick.
+//! * **ReplicationCore** (§V-C): Batcher and Protocol threads around the
+//!   pure [`smr_paxos::PaxosReplica`] state machine, under the no-lock
+//!   rule (queues and atomics). Failure detection (heartbeats, adaptive
+//!   suspicion, the leader's quorum check) and retransmission (resend
+//!   deadlines with backoff on undecided slots and on a pending Prepare)
+//!   run inside the core on the Protocol thread's periodic tick.
 //! * **ServiceManager** (§V-D): the "Replica" thread executing decided
 //!   batches against the [`Service`] and routing replies through the
 //!   sharded [`ShardedReplyCache`].

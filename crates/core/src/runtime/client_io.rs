@@ -181,7 +181,9 @@ pub(crate) fn run_client_io(ctx: &Ctx, index: usize) {
             }
         }
         for id in dead.drain(..) {
-            conns.remove(&id);
+            if conns.remove(&id).is_some() {
+                ctx.shared.unbind_conn(index, id);
+            }
         }
 
         if !did_work {

@@ -1,17 +1,16 @@
-//! ReplicationCore threads (§V-C): Batcher, Protocol (which also runs
-//! failure detection, §V-C3), and Retransmitter.
+//! ReplicationCore threads (§V-C): the Batcher, and the Protocol thread,
+//! which also runs failure detection (§V-C3) and retransmission (§V-C4).
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use smr_metrics::ThreadState;
 use smr_paxos::{Action, BatchBuilder, Event, PaxosReplica};
 use smr_queue::PopError;
 use smr_types::{RequestId, Slot};
 use smr_wire::{Batch, ProtocolMsg, Request};
 
 use super::stage::{batch_key, BatchStamp, StageClock};
-use super::{Ctx, Decision, RetransmitEntry};
+use super::{Ctx, Decision};
 
 /// Most requests the Batcher moves out of the RequestQueue per lock
 /// acquisition.
@@ -104,9 +103,11 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
 /// pure Paxos state machine. Owns the log; everything it publishes goes
 /// through queues or the shared atomics.
 ///
-/// It is also the failure detector (§V-C3): every `heartbeat_interval /
-/// 2` it hands the core an [`Event::Tick`], on which the core heartbeats
-/// idle links, suspects a silent leader and re-checks its own quorum.
+/// It is also the failure detector (§V-C3) and the retransmitter
+/// (§V-C4): every `heartbeat_interval / 2` it hands the core an
+/// [`Event::Tick`], on which the core resends overdue Propose and
+/// Prepare messages, heartbeats idle links, suspects a silent leader and
+/// re-checks its own quorum.
 /// The loop still parks at most 1 ms on the DispatcherQueue, because
 /// nothing else wakes it when the Batcher hands over a proposal.
 pub(crate) fn run_protocol(ctx: &Ctx) {
@@ -277,29 +278,6 @@ fn apply_actions(
             Action::InstallSnapshot { snapshot } => {
                 deliveries.push(Decision::Install(snapshot));
             }
-            Action::ScheduleRetransmit { key, to, msg } => {
-                let entry = RetransmitEntry {
-                    key,
-                    to,
-                    msg,
-                    attempt: 0,
-                };
-                let deadline = Instant::now() + ctx.config.retransmit().interval(0);
-                let cancel = ctx.timers.schedule(deadline, entry);
-                if let Some(old) = ctx.retransmits.lock().insert(key, cancel) {
-                    old.cancel();
-                }
-            }
-            Action::CancelRetransmit { key } => {
-                if let Some(cancel) = ctx.retransmits.lock().remove(&key) {
-                    cancel.cancel();
-                }
-            }
-            Action::CancelAllRetransmits => {
-                for (_, cancel) in ctx.retransmits.lock().drain() {
-                    cancel.cancel();
-                }
-            }
             Action::LeaderChanged { view, leader } => {
                 pending_clocks.clear();
                 ctx.shared.set_view(view, leader, ctx.me);
@@ -334,47 +312,6 @@ fn sweep_pending_clocks(
     applied_upto: Slot,
 ) {
     pending_clocks.retain(|_, (slot, _)| *slot >= applied_upto);
-}
-
-/// The Retransmitter thread (§V-C4): re-sends messages whose timers
-/// expire uncancelled, with exponential backoff.
-pub(crate) fn run_retransmitter(ctx: &Ctx) {
-    let handle = ctx.metrics.register_thread("Retransmitter");
-    loop {
-        if ctx.is_shutdown() {
-            return;
-        }
-        let expired = {
-            let _g = handle.enter(ThreadState::Waiting);
-            ctx.timers.next_expired(Duration::from_millis(100))
-        };
-        let Some(fired) = expired else {
-            if ctx.is_shutdown() {
-                return;
-            }
-            continue;
-        };
-        let entry = fired.value;
-        // Skip zombies: the Protocol thread may have cancelled between
-        // expiry and now.
-        {
-            let mut map = ctx.retransmits.lock();
-            if !map.contains_key(&entry.key) {
-                continue;
-            }
-            let attempt = entry.attempt + 1;
-            let next = RetransmitEntry {
-                attempt,
-                ..entry.clone()
-            };
-            let deadline = Instant::now() + ctx.config.retransmit().interval(attempt);
-            let cancel = ctx.timers.schedule(deadline, next);
-            if let Some(old) = map.insert(entry.key, cancel) {
-                old.cancel();
-            }
-        }
-        ctx.send(entry.to, &entry.msg);
-    }
 }
 
 #[cfg(test)]

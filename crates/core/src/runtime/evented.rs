@@ -394,16 +394,19 @@ pub(crate) fn run_evented_client_io(ctx: &Ctx, index: usize, opts: &EventedIoOpt
         }
         std::mem::swap(&mut dirty, &mut next_dirty);
 
-        // 6. Bury connections that broke in any phase above.
+        // 6. Bury connections that broke in any phase above, and drop
+        // the client routes that pointed at them.
         for slot in dead.drain(..) {
-            kill(
+            if let Some(id) = kill(
                 &poll,
                 &mut slots,
                 &mut free,
                 &mut by_id,
                 slot,
                 [&mut polled, &mut read_list, &mut parked, &mut dirty],
-            );
+            ) {
+                ctx.shared.unbind_conn(index, id);
+            }
         }
 
         // 7. Park on epoll. Ticking work (fd-less scans, parked-request
@@ -503,6 +506,7 @@ fn read_slot(
 
 /// Removes a connection: deregisters its fd, frees the slab slot, and
 /// purges it from every work list so the recycled index starts clean.
+/// Returns the id of the connection it removed.
 fn kill(
     poll: &mio::Poll,
     slots: &mut [Option<EvConn>],
@@ -510,9 +514,9 @@ fn kill(
     by_id: &mut HashMap<u64, usize>,
     slot: usize,
     lists: [&mut Vec<usize>; 4],
-) {
+) -> Option<u64> {
     let Some(st) = slots[slot].take() else {
-        return; // already buried (e.g. queued dead twice in one burst)
+        return None; // already buried (e.g. queued dead twice in one burst)
     };
     if let Some(fd) = st.fd {
         let _ = poll.registry().deregister(&mut mio::unix::SourceFd(&fd));
@@ -522,6 +526,7 @@ fn kill(
         list.retain(|s| *s != slot);
     }
     free.push(slot);
+    Some(st.conn.id())
 }
 
 /// The acceptor in evented mode: parks on listener readiness instead of

@@ -7,7 +7,6 @@ mod replica_io;
 mod service_manager;
 mod stage;
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,8 +17,8 @@ use parking_lot::Mutex;
 
 use smr_metrics::{Counter, MetricsRegistry, MetricsSnapshot, ThreadState};
 use smr_net::{ClientConn, ClientListener, ReplicaNetwork};
-use smr_paxos::{RetransmitKey, Target};
-use smr_queue::{BoundedQueue, CancelHandle, DepthSampler, QueueRegistry, TimerQueue};
+use smr_paxos::Target;
+use smr_queue::{BoundedQueue, DepthSampler, QueueRegistry};
 use smr_storage::Storage;
 use smr_types::{
     ClusterConfig, CompactionPolicy, ConfigError, ReplicaId, Slot, SmrError, SnapshotBlob,
@@ -130,15 +129,6 @@ impl SnapshotStore {
     }
 }
 
-/// A message awaiting retransmission (§V-C4).
-#[derive(Debug, Clone)]
-pub(crate) struct RetransmitEntry {
-    pub key: RetransmitKey,
-    pub to: Target,
-    pub msg: ProtocolMsg,
-    pub attempt: u32,
-}
-
 /// Everything the replica's threads share.
 pub(crate) struct Ctx {
     pub me: ReplicaId,
@@ -175,8 +165,6 @@ pub(crate) struct Ctx {
     /// when replies or connections land. No-ops in threaded mode.
     pub io_wakers: Vec<IoWaker>,
     pub network: Arc<dyn ReplicaNetwork>,
-    pub timers: TimerQueue<RetransmitEntry>,
-    pub retransmits: Mutex<HashMap<RetransmitKey, CancelHandle>>,
     /// Frames dropped because a SendQueue was full (the non-blocking
     /// escape hatch of §V-B; retransmission recovers them).
     pub send_drops: Counter,
@@ -184,7 +172,8 @@ pub(crate) struct Ctx {
 
 impl Ctx {
     /// Enqueues `msg` for each target peer on its SendQueue without
-    /// blocking; full queues drop (the Retransmitter will recover).
+    /// blocking; full queues drop (the protocol core resends what goes
+    /// unanswered).
     pub fn send(&self, to: Target, msg: &ProtocolMsg) {
         match to {
             Target::All => {
@@ -407,45 +396,6 @@ impl ReplicaBuilder {
         self
     }
 
-    /// Deprecated alias for [`with_service`](ReplicaBuilder::with_service).
-    #[deprecated(since = "0.7.0", note = "use with_service")]
-    pub fn service(self, service: Box<dyn Service>) -> Self {
-        self.with_service(service)
-    }
-
-    /// Deprecated alias for
-    /// [`with_parallel_service`](ReplicaBuilder::with_parallel_service).
-    #[deprecated(since = "0.7.0", note = "use with_parallel_service")]
-    pub fn parallel_service(self, service: Arc<dyn ConflictAwareService>, workers: usize) -> Self {
-        self.with_parallel_service(service, workers)
-    }
-
-    /// Deprecated alias for [`with_network`](ReplicaBuilder::with_network).
-    #[deprecated(since = "0.7.0", note = "use with_network")]
-    pub fn network(self, network: Arc<dyn ReplicaNetwork>) -> Self {
-        self.with_network(network)
-    }
-
-    /// Deprecated alias for
-    /// [`with_client_listener`](ReplicaBuilder::with_client_listener).
-    #[deprecated(since = "0.7.0", note = "use with_client_listener")]
-    pub fn client_listener(self, listener: Box<dyn ClientListener>) -> Self {
-        self.with_client_listener(listener)
-    }
-
-    /// Deprecated alias for [`with_metrics`](ReplicaBuilder::with_metrics).
-    #[deprecated(since = "0.7.0", note = "use with_metrics")]
-    pub fn metrics(self, metrics: MetricsRegistry) -> Self {
-        self.with_metrics(metrics)
-    }
-
-    /// Deprecated alias for
-    /// [`with_reply_cache`](ReplicaBuilder::with_reply_cache).
-    #[deprecated(since = "0.7.0", note = "use with_reply_cache")]
-    pub fn reply_cache(self, cache: Arc<dyn ReplyCache>) -> Self {
-        self.with_reply_cache(cache)
-    }
-
     /// Spawns every thread of the architecture and returns the handle.
     ///
     /// When durability is configured, recovery runs first, before any
@@ -555,8 +505,6 @@ impl ReplicaBuilder {
                 .collect(),
             io_wakers: (0..k).map(|_| IoWaker::empty()).collect(),
             network,
-            timers: TimerQueue::new(),
-            retransmits: Mutex::new(HashMap::new()),
             send_drops,
             snapshots: SnapshotStore::new(),
             snapshot_capable,
@@ -647,13 +595,6 @@ impl ReplicaBuilder {
             threads.push(spawn(
                 "Protocol".into(),
                 Box::new(move || core_threads::run_protocol(&ctx2)),
-            ));
-        }
-        {
-            let ctx2 = Arc::clone(&ctx);
-            threads.push(spawn(
-                "Retransmitter".into(),
-                Box::new(move || core_threads::run_retransmitter(&ctx2)),
             ));
         }
         // ServiceManager (§V-D) — named "Replica" in the paper's profiles.
@@ -931,7 +872,6 @@ impl Replica {
         for q in &self.ctx.intake_qs {
             q.close();
         }
-        self.ctx.timers.close();
         self.ctx.network.shutdown();
         // Kick evented ClientIO threads out of epoll_wait so they
         // observe the flag now rather than at their next timeout.

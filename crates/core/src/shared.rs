@@ -14,7 +14,8 @@
 //! * the decided frontier, written by the Protocol thread;
 //! * the client connection table, written by ClientIO threads, read by
 //!   the ServiceManager to route replies (sharded like the reply cache),
-//!   and cleared by a step-down so that only the serving leader replies.
+//!   pruned when a connection closes, and cleared by a step-down so that
+//!   only the serving leader replies.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
@@ -139,10 +140,19 @@ impl SharedState {
         self.client_table[shard].lock().get(&client.0).copied()
     }
 
-    /// Forgets a client route (on disconnect).
-    pub fn unbind_client(&self, client: ClientId) {
-        let shard = client.0 as usize % self.client_table.len();
-        self.client_table[shard].lock().remove(&client.0);
+    /// Forgets every route over connection `conn` of ClientIO thread
+    /// `cio` (on disconnect). A client that has since been bound to
+    /// another connection keeps that route. Closes are rare, so this
+    /// scans every shard rather than indexing routes by connection.
+    pub fn unbind_conn(&self, cio: usize, conn: u64) {
+        for shard in &self.client_table {
+            shard.lock().retain(|_, route| *route != (cio, conn));
+        }
+    }
+
+    /// Number of client routes held (tests and diagnostics).
+    pub fn client_routes(&self) -> usize {
+        self.client_table.iter().map(|s| s.lock().len()).sum()
     }
 }
 
@@ -183,9 +193,29 @@ mod tests {
         let s = SharedState::new();
         assert_eq!(s.client_route(ClientId(9)), None);
         s.bind_client(ClientId(9), 2, 77);
+        s.bind_client(ClientId(73), 2, 77);
+        s.bind_client(ClientId(10), 2, 78);
         assert_eq!(s.client_route(ClientId(9)), Some((2, 77)));
-        s.unbind_client(ClientId(9));
+        s.unbind_conn(2, 77);
         assert_eq!(s.client_route(ClientId(9)), None);
+        assert_eq!(s.client_route(ClientId(73)), None);
+        assert_eq!(s.client_route(ClientId(10)), Some((2, 78)));
+        assert_eq!(s.client_routes(), 1);
+    }
+
+    #[test]
+    fn unbinding_a_closed_conn_keeps_a_rebound_route() {
+        let s = SharedState::new();
+        s.bind_client(ClientId(9), 0, 5);
+        // The client reconnected on another ClientIO thread before its
+        // old connection was buried.
+        s.bind_client(ClientId(9), 1, 6);
+        s.unbind_conn(0, 5);
+        assert_eq!(s.client_route(ClientId(9)), Some((1, 6)));
+        // Same connection id on a different ClientIO thread is another
+        // connection.
+        s.unbind_conn(0, 6);
+        assert_eq!(s.client_route(ClientId(9)), Some((1, 6)));
     }
 
     #[test]

@@ -264,3 +264,62 @@ fn many_idle_connections_do_not_stall_active_clients() {
         "500 idle connections degraded throughput: baseline {baseline:?}, with idle {with_idle:?}"
     );
 }
+
+/// Opens and closes 200 connections, each sending one request under its
+/// own client id, and checks that the replica's client table ends empty:
+/// a closed connection takes its routes with it.
+fn closed_connections_leave_no_routes(cluster: InProcessCluster) {
+    use smr_net::ClientEndpoint;
+    const CONNS: u64 = 200;
+    let mut client = cluster.client();
+    client
+        .execute(&KvService::put(b"warmup", b"1"))
+        .expect("warm-up op");
+    drop(client);
+    for i in 0..CONNS {
+        let mut conn = cluster
+            .hub()
+            .connect_client(ReplicaId(0))
+            .expect("connect raw client");
+        let request = Request::new(
+            RequestId::new(ClientId(10_000 + i), SeqNum(0)),
+            KvService::put(b"k", &i.to_le_bytes()),
+        );
+        conn.send(ClientMsg::Request(request).encode_to_vec())
+            .expect("send request");
+        match conn.recv_timeout(Duration::from_secs(5)) {
+            Ok(Some(frame)) => assert!(
+                matches!(ClientMsg::decode(&frame), Ok(ClientMsg::Reply(_))),
+                "connection {i} got no reply"
+            ),
+            other => panic!("connection {i}: {other:?}"),
+        }
+    }
+    let shared = cluster.replica(ReplicaId(0)).shared();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while shared.client_routes() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{} client routes outlived their connections",
+            shared.client_routes()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn threaded_client_io_forgets_routes_of_closed_connections() {
+    let cluster = InProcessCluster::start(small_config(1), |_| Box::new(KvService::new()));
+    closed_connections_leave_no_routes(cluster);
+}
+
+#[test]
+fn evented_client_io_forgets_routes_of_closed_connections() {
+    let cluster = InProcessCluster::start_with(small_config(1), |_, builder| {
+        builder
+            .with_service(Box::new(KvService::new()))
+            .with_evented_client_io(2, EventedIoOptions::default())
+    });
+    closed_connections_leave_no_routes(cluster);
+}

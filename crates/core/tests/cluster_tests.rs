@@ -295,20 +295,16 @@ fn per_thread_profiles_are_collected() {
     }
     let snapshot = cluster.replica(ReplicaId(0)).metrics().snapshot();
     let names: Vec<&str> = snapshot.threads.iter().map(|t| t.name.as_str()).collect();
-    for expected in [
-        "ClientIO-0",
-        "Batcher",
-        "Protocol",
-        "Replica",
-        "Retransmitter",
-    ] {
+    for expected in ["ClientIO-0", "Batcher", "Protocol", "Replica"] {
         assert!(
             names.contains(&expected),
             "profile for {expected} missing: {names:?}"
         );
     }
-    // Failure detection runs inside the Protocol thread.
+    // Failure detection and retransmission run inside the Protocol
+    // thread.
     assert!(!names.contains(&"FailureDetector"), "{names:?}");
+    assert!(!names.contains(&"Retransmitter"), "{names:?}");
     // The paper's key property: time is overwhelmingly waiting, not
     // blocked, at low load.
     let table = snapshot.render_table();

@@ -28,9 +28,11 @@ pub enum Event {
         /// The view whose leader is suspected.
         view: View,
     },
-    /// The periodic deadline: heartbeats on idle links, suspicion of a
-    /// silent leader, the leader's quorum check, catch-up re-issue. The
-    /// real runtime delivers one every `heartbeat_interval / 2`.
+    /// The periodic deadline: resends of unanswered Propose and Prepare
+    /// messages, heartbeats on idle links, suspicion of a silent leader,
+    /// the leader's quorum check, catch-up re-issue. The real runtime
+    /// delivers one every `heartbeat_interval / 2`, which is also the
+    /// precision of every resend.
     Tick,
 }
 
@@ -43,30 +45,8 @@ pub enum Target {
     One(ReplicaId),
 }
 
-/// Identifies a retransmittable message for cancellation (§V-C4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RetransmitKey {
-    /// The Phase 1a message of a view being prepared.
-    Prepare {
-        /// The view.
-        view: View,
-    },
-    /// The Phase 2a message of one instance.
-    Propose {
-        /// The proposing view.
-        view: View,
-        /// The instance.
-        slot: Slot,
-    },
-    /// An outstanding catch-up query.
-    Catchup {
-        /// First slot requested.
-        from: Slot,
-    },
-}
-
 /// An output of the protocol state machine, to be effected by the caller
-/// (send a message, deliver a decision, manage retransmission timers).
+/// (send a message, deliver a decision, publish a role change).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
     /// Send `msg` to `to`.
@@ -84,22 +64,6 @@ pub enum Action {
         /// The decided value.
         batch: Batch,
     },
-    /// Register `msg` for periodic retransmission to `to` until cancelled.
-    ScheduleRetransmit {
-        /// Cancellation key.
-        key: RetransmitKey,
-        /// Destination.
-        to: Target,
-        /// The message to retransmit.
-        msg: ProtocolMsg,
-    },
-    /// Cancel a previously scheduled retransmission.
-    CancelRetransmit {
-        /// The key to cancel.
-        key: RetransmitKey,
-    },
-    /// Cancel every outstanding retransmission (on view change).
-    CancelAllRetransmits,
     /// The view changed.
     LeaderChanged {
         /// The new view.
@@ -141,9 +105,6 @@ impl Action {
         match self {
             Action::Send { .. } => "Send",
             Action::Deliver { .. } => "Deliver",
-            Action::ScheduleRetransmit { .. } => "ScheduleRetransmit",
-            Action::CancelRetransmit { .. } => "CancelRetransmit",
-            Action::CancelAllRetransmits => "CancelAllRetransmits",
             Action::LeaderChanged { .. } => "LeaderChanged",
             Action::ServingChanged { .. } => "ServingChanged",
             Action::SendSnapshot { .. } => "SendSnapshot",
@@ -158,7 +119,10 @@ mod tests {
 
     #[test]
     fn action_kind_names() {
-        assert_eq!(Action::CancelAllRetransmits.kind(), "CancelAllRetransmits");
+        assert_eq!(
+            Action::ServingChanged { serving: true }.kind(),
+            "ServingChanged"
+        );
         assert_eq!(
             Action::LeaderChanged {
                 view: View(1),
@@ -167,24 +131,5 @@ mod tests {
             .kind(),
             "LeaderChanged"
         );
-    }
-
-    #[test]
-    fn retransmit_keys_are_distinct() {
-        use std::collections::HashSet;
-        let keys = [
-            RetransmitKey::Prepare { view: View(1) },
-            RetransmitKey::Propose {
-                view: View(1),
-                slot: Slot(0),
-            },
-            RetransmitKey::Propose {
-                view: View(1),
-                slot: Slot(1),
-            },
-            RetransmitKey::Catchup { from: Slot(0) },
-        ];
-        let set: HashSet<_> = keys.iter().collect();
-        assert_eq!(set.len(), keys.len());
     }
 }

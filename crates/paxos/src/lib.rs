@@ -30,6 +30,12 @@
 //! admitting client requests ([`Action::ServingChanged`]) without
 //! changing view. Catch-up fills log gaps from peers.
 //!
+//! Retransmission (§V-C4) is core state too: each undecided slot of the
+//! leader's view, and the Prepare of a view being prepared, carries a
+//! resend deadline with exponential backoff
+//! ([`smr_types::RetransmitPolicy`]). [`Event::Tick`] resends what is
+//! overdue; a decision or a view change drops the deadline.
+//!
 //! # Examples
 //!
 //! Single-replica cluster deciding a batch immediately:
@@ -53,6 +59,6 @@ mod log;
 mod replica;
 
 pub use batcher::BatchBuilder;
-pub use events::{Action, Event, RetransmitKey, Target};
+pub use events::{Action, Event, Target};
 pub use log::{Instance, Log};
 pub use replica::{PaxosReplica, ReplicaRole};

@@ -1,12 +1,14 @@
 //! The protocol state machine driven by the Protocol thread.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use smr_types::{ClusterConfig, CompactionPolicy, ReplicaId, Slot, SnapshotBlob, View};
+use smr_types::{
+    ClusterConfig, CompactionPolicy, ReplicaId, RetransmitPolicy, Slot, SnapshotBlob, View,
+};
 use smr_wire::{AcceptedEntry, Batch, ProtocolMsg};
 
 use crate::detector::Detector;
-use crate::events::{Action, Event, RetransmitKey, Target};
+use crate::events::{Action, Event, Target};
 use crate::log::Log;
 
 /// Role of a replica with respect to the current view.
@@ -26,11 +28,42 @@ const CATCHUP_CHUNK: u64 = 256;
 /// How long (ns) to wait for a catch-up reply before re-issuing.
 const CATCHUP_TIMEOUT_NS: u64 = 200_000_000;
 
+/// The resend schedule of one unanswered message (§V-C4): a Propose
+/// whose slot is undecided, or the Prepare of the view being prepared.
+#[derive(Debug, Clone, Copy)]
+struct Resend {
+    /// When the message is next resent.
+    due_ns: u64,
+    /// Resends so far.
+    attempt: u32,
+}
+
+impl Resend {
+    /// The schedule of a message first sent at `now_ns`.
+    fn first(now_ns: u64, policy: RetransmitPolicy) -> Self {
+        Resend {
+            due_ns: now_ns.saturating_add(policy.interval(0).as_nanos() as u64),
+            attempt: 0,
+        }
+    }
+
+    /// Whether the message is due at `now_ns`; if so, schedules the next
+    /// resend with backoff.
+    fn fire(&mut self, now_ns: u64, policy: RetransmitPolicy) -> bool {
+        if now_ns < self.due_ns {
+            return false;
+        }
+        self.attempt += 1;
+        self.due_ns = now_ns.saturating_add(policy.interval(self.attempt).as_nanos() as u64);
+        true
+    }
+}
+
 /// The MultiPaxos state machine of one replica.
 ///
 /// Feed it [`Event`]s via [`PaxosReplica::handle`]; it appends [`Action`]s
 /// for the caller to carry out. See the crate docs for the protocol
-/// sketch and the division of labour with the retransmitter.
+/// sketch.
 #[derive(Debug)]
 pub struct PaxosReplica {
     me: ReplicaId,
@@ -44,8 +77,11 @@ pub struct PaxosReplica {
     /// Next slot this leader will assign.
     next_slot: Slot,
     /// Slots proposed in the current view and not yet decided (the
-    /// paper's "parallel ballots in execution", bounded by `WND`).
-    my_inflight: BTreeSet<Slot>,
+    /// paper's "parallel ballots in execution", bounded by `WND`), each
+    /// with its resend schedule. The log holds their values.
+    my_inflight: BTreeMap<Slot, Resend>,
+    /// Resend schedule of this view's Prepare while preparing.
+    prepare_resend: Option<Resend>,
     /// Proposals buffered while preparing or while the window is full.
     pending_proposals: VecDeque<Batch>,
     dropped_proposals: u64,
@@ -87,7 +123,8 @@ impl PaxosReplica {
             promises: HashMap::new(),
             prepare_first_unstable: Slot::ZERO,
             next_slot: Slot::ZERO,
-            my_inflight: BTreeSet::new(),
+            my_inflight: BTreeMap::new(),
+            prepare_resend: None,
             pending_proposals: VecDeque::new(),
             dropped_proposals: 0,
             catchup_inflight: None,
@@ -180,15 +217,6 @@ impl PaxosReplica {
         &self.log
     }
 
-    /// Sets how many delivered slots are retained for catch-up.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `set_compaction(CompactionPolicy::KeepSlots(n))`"
-    )]
-    pub fn set_retention(&mut self, slots: u64) {
-        self.policy = CompactionPolicy::KeepSlots(slots);
-    }
-
     /// Sets the log-compaction policy.
     pub fn set_compaction(&mut self, policy: CompactionPolicy) {
         self.policy = policy;
@@ -251,9 +279,9 @@ impl PaxosReplica {
         let view = self.view;
         match event {
             Event::Init => self.on_init(now_ns, out),
-            Event::Proposal(batch) => self.on_proposal(batch, out),
+            Event::Proposal(batch) => self.on_proposal(batch, now_ns, out),
             Event::Message { from, msg } => self.on_message(from, msg, now_ns, out),
-            Event::Suspect { view } => self.on_suspect(view, out),
+            Event::Suspect { view } => self.on_suspect(view, now_ns, out),
             Event::Tick => self.on_tick(now_ns, out),
         }
         if self.view != view {
@@ -263,11 +291,13 @@ impl PaxosReplica {
         self.update_serving(now_ns, out);
     }
 
-    /// The periodic deadline (§V-C3): re-issue a stalled catch-up,
-    /// heartbeat idle links (a leader to every peer, a follower to its
-    /// leader, so an idle leader still sees its quorum), and suspect a
-    /// leader silent past its threshold.
+    /// The periodic deadline (§V-C3, §V-C4): resend overdue Propose and
+    /// Prepare messages, re-issue a stalled catch-up, heartbeat idle
+    /// links (a leader to every peer, a follower to its leader, so an
+    /// idle leader still sees its quorum), and suspect a leader silent
+    /// past its threshold.
     fn on_tick(&mut self, now_ns: u64, out: &mut Vec<Action>) {
+        self.resend_overdue(now_ns, out);
         self.maybe_catchup(None, now_ns, out);
         let leader = self.leader();
         let heartbeat = ProtocolMsg::Heartbeat {
@@ -283,8 +313,49 @@ impl PaxosReplica {
             }
         }
         if self.me != leader && !self.detector.alive(leader, now_ns) {
-            self.on_suspect(self.view, out);
+            self.on_suspect(self.view, now_ns, out);
         }
+    }
+
+    /// Resends every message whose resend is due at `now_ns` to all
+    /// peers: the Prepare while preparing, and the Propose of each
+    /// undecided slot of this view, rebuilt from the log. A slot that
+    /// left the log or was decided by catch-up is dropped instead.
+    fn resend_overdue(&mut self, now_ns: u64, out: &mut Vec<Action>) {
+        let policy = self.config.retransmit();
+        let view = self.view;
+        if let Some(resend) = self.prepare_resend.as_mut() {
+            if resend.fire(now_ns, policy) {
+                out.push(Action::Send {
+                    to: Target::All,
+                    msg: ProtocolMsg::Prepare {
+                        view,
+                        first_unstable: self.prepare_first_unstable,
+                    },
+                });
+            }
+        }
+        let log = &self.log;
+        self.my_inflight.retain(|&slot, resend| {
+            let Some(batch) = log
+                .get(slot)
+                .filter(|i| !i.decided)
+                .and_then(|i| i.value.as_ref())
+            else {
+                return false;
+            };
+            if resend.fire(now_ns, policy) {
+                out.push(Action::Send {
+                    to: Target::All,
+                    msg: ProtocolMsg::Propose {
+                        view,
+                        slot,
+                        batch: batch.clone(),
+                    },
+                });
+            }
+            true
+        });
     }
 
     /// Re-evaluates [`PaxosReplica::serving`], reporting a change. A
@@ -320,9 +391,9 @@ impl PaxosReplica {
         });
     }
 
-    fn on_proposal(&mut self, batch: Batch, out: &mut Vec<Action>) {
+    fn on_proposal(&mut self, batch: Batch, now_ns: u64, out: &mut Vec<Action>) {
         match self.role {
-            ReplicaRole::Leading if self.window_open() => self.propose(batch, out),
+            ReplicaRole::Leading if self.window_open() => self.propose(batch, now_ns, out),
             ReplicaRole::Leading | ReplicaRole::Preparing => {
                 if self.pending_proposals.len() < 2 * self.config.window() {
                     self.pending_proposals.push_back(batch);
@@ -338,37 +409,41 @@ impl PaxosReplica {
         }
     }
 
-    fn propose(&mut self, batch: Batch, out: &mut Vec<Action>) {
+    fn propose(&mut self, batch: Batch, now_ns: u64, out: &mut Vec<Action>) {
         let slot = self.next_slot;
         self.next_slot = slot.next();
+        debug_assert!(
+            !self.log.get(slot).is_some_and(|i| i.decided),
+            "proposing into a decided slot"
+        );
+        self.send_propose(slot, batch, now_ns, out);
+        self.try_decide(slot, now_ns, out);
+    }
+
+    /// Accepts `batch` into `slot` in this view, sends the Propose to
+    /// every peer and schedules its resend until the slot decides.
+    fn send_propose(&mut self, slot: Slot, batch: Batch, now_ns: u64, out: &mut Vec<Action>) {
         let view = self.view;
         let inst = self.log.entry(slot);
-        debug_assert!(!inst.decided, "proposing into a decided slot");
         inst.value = Some(batch.clone());
         inst.accepted_view = Some(view);
         inst.record_vote(self.me, view);
-        self.my_inflight.insert(slot);
-        let msg = ProtocolMsg::Propose { view, slot, batch };
+        self.my_inflight
+            .insert(slot, Resend::first(now_ns, self.config.retransmit()));
         out.push(Action::Send {
             to: Target::All,
-            msg: msg.clone(),
+            msg: ProtocolMsg::Propose { view, slot, batch },
         });
-        out.push(Action::ScheduleRetransmit {
-            key: RetransmitKey::Propose { view, slot },
-            to: Target::All,
-            msg,
-        });
-        self.try_decide(slot, out);
     }
 
-    fn on_suspect(&mut self, suspected: View, out: &mut Vec<Action>) {
+    fn on_suspect(&mut self, suspected: View, now_ns: u64, out: &mut Vec<Action>) {
         if suspected != self.view {
             return; // stale suspicion
         }
         let next = self.view.next();
         self.advance_view(next, out);
         if self.is_leader() {
-            self.start_prepare(out);
+            self.start_prepare(now_ns, out);
         } else {
             // Nudge the natural next leader in case its own detector is
             // slower than ours.
@@ -382,49 +457,43 @@ impl PaxosReplica {
         }
     }
 
-    /// Moves to `view` (strictly higher), resetting per-view state.
+    /// Moves to `view` (strictly higher), resetting per-view state and
+    /// dropping every pending resend.
     fn advance_view(&mut self, view: View, out: &mut Vec<Action>) {
         debug_assert!(view > self.view);
         self.view = view;
         self.role = ReplicaRole::Follower;
         self.my_inflight.clear();
+        self.prepare_resend = None;
         self.promises.clear();
-        out.push(Action::CancelAllRetransmits);
         out.push(Action::LeaderChanged {
             view,
             leader: self.leader(),
         });
     }
 
-    fn start_prepare(&mut self, out: &mut Vec<Action>) {
+    fn start_prepare(&mut self, now_ns: u64, out: &mut Vec<Action>) {
         debug_assert!(self.is_leader());
         self.role = ReplicaRole::Preparing;
         self.promises.clear();
         self.prepare_first_unstable = self.log.first_gap();
-        let msg = ProtocolMsg::Prepare {
-            view: self.view,
-            first_unstable: self.prepare_first_unstable,
-        };
+        self.prepare_resend = Some(Resend::first(now_ns, self.config.retransmit()));
         out.push(Action::Send {
             to: Target::All,
-            msg: msg.clone(),
-        });
-        out.push(Action::ScheduleRetransmit {
-            key: RetransmitKey::Prepare { view: self.view },
-            to: Target::All,
-            msg,
+            msg: ProtocolMsg::Prepare {
+                view: self.view,
+                first_unstable: self.prepare_first_unstable,
+            },
         });
         // A single-replica cluster has its majority already.
         if 1 + self.promises.len() >= self.config.majority() {
-            self.finish_prepare(out);
+            self.finish_prepare(now_ns, out);
         }
     }
 
-    fn finish_prepare(&mut self, out: &mut Vec<Action>) {
+    fn finish_prepare(&mut self, now_ns: u64, out: &mut Vec<Action>) {
         self.role = ReplicaRole::Leading;
-        out.push(Action::CancelRetransmit {
-            key: RetransmitKey::Prepare { view: self.view },
-        });
+        self.prepare_resend = None;
         let fu = self.prepare_first_unstable;
 
         // Slots the quorum reports decided are final, but a peer that has
@@ -485,31 +554,16 @@ impl PaxosReplica {
                 .get(&slot.0)
                 .map(|(_, b)| b.clone())
                 .unwrap_or_else(Batch::empty);
-            let view = self.view;
-            let inst = self.log.entry(slot);
-            inst.value = Some(batch.clone());
-            inst.accepted_view = Some(view);
-            inst.record_vote(self.me, view);
-            self.my_inflight.insert(slot);
-            let msg = ProtocolMsg::Propose { view, slot, batch };
-            out.push(Action::Send {
-                to: Target::All,
-                msg: msg.clone(),
-            });
-            out.push(Action::ScheduleRetransmit {
-                key: RetransmitKey::Propose { view, slot },
-                to: Target::All,
-                msg,
-            });
-            self.try_decide(slot, out);
+            self.send_propose(slot, batch, now_ns, out);
+            self.try_decide(slot, now_ns, out);
         }
-        self.drain_pending(out);
+        self.drain_pending(now_ns, out);
     }
 
-    fn drain_pending(&mut self, out: &mut Vec<Action>) {
+    fn drain_pending(&mut self, now_ns: u64, out: &mut Vec<Action>) {
         while self.window_open() {
             match self.pending_proposals.pop_front() {
-                Some(batch) => self.propose(batch, out),
+                Some(batch) => self.propose(batch, now_ns, out),
                 None => break,
             }
         }
@@ -562,7 +616,7 @@ impl PaxosReplica {
                     && reporter != self.me
                     && self.view.next().leader(self.config.n()) == self.me
                 {
-                    self.on_suspect(view, out);
+                    self.on_suspect(view, now_ns, out);
                 }
             }
         }
@@ -613,7 +667,7 @@ impl PaxosReplica {
         }
         self.promises.entry(from).or_insert(accepted);
         if 1 + self.promises.len() >= self.config.majority() {
-            self.finish_prepare(out);
+            self.finish_prepare(now_ns, out);
             self.maybe_catchup(None, now_ns, out);
         }
     }
@@ -664,7 +718,7 @@ impl PaxosReplica {
             to: Target::All,
             msg: ProtocolMsg::Accept { view, slot },
         });
-        self.try_decide(slot, out);
+        self.try_decide(slot, now_ns, out);
         // A slot far beyond our decided frontier implies we missed traffic.
         if slot.0 > self.log.first_gap().0 + 2 * self.config.window() as u64 {
             self.maybe_catchup(Some(slot), now_ns, out);
@@ -693,34 +747,27 @@ impl PaxosReplica {
         let inst = self.log.entry(slot);
         inst.record_vote(from, view);
         let missing_value = inst.value.is_none() && inst.votes_in(view) >= majority;
-        self.try_decide(slot, out);
+        self.try_decide(slot, now_ns, out);
         if missing_value {
             // A majority accepted a proposal we never saw: fetch it.
             self.maybe_catchup(Some(slot.next()), now_ns, out);
         }
     }
 
-    fn try_decide(&mut self, slot: Slot, out: &mut Vec<Action>) {
+    fn try_decide(&mut self, slot: Slot, now_ns: u64, out: &mut Vec<Action>) {
         let majority = self.config.majority();
         let decidable = self.log.get(slot).is_some_and(|i| i.decidable(majority));
         if !decidable {
             return;
         }
         self.log.mark_decided(slot);
-        if self.my_inflight.remove(&slot) {
-            out.push(Action::CancelRetransmit {
-                key: RetransmitKey::Propose {
-                    view: self.view,
-                    slot,
-                },
-            });
-        }
+        self.my_inflight.remove(&slot);
         for (slot, batch) in self.log.take_deliverable() {
             out.push(Action::Deliver { slot, batch });
         }
         self.compact();
         if self.role == ReplicaRole::Leading {
-            self.drain_pending(out);
+            self.drain_pending(now_ns, out);
         }
     }
 
@@ -1220,23 +1267,23 @@ mod tests {
     #[test]
     fn decide_cancels_retransmission() {
         let mut net = TestNet::new(3);
-        // Capture leader actions directly for one proposal.
-        net.now += 1;
+        net.event(ReplicaId(0), Event::Proposal(batch(0)));
+        // Accepts came back at once and the slot decided.
+        assert_eq!(net.replicas[0].in_flight(), 0);
+        // Past every resend deadline, a tick resends nothing.
+        let later = net.now + net.replicas[0].config().retransmit().max.as_nanos() as u64;
         let mut acts = Vec::new();
-        net.replicas[0].handle(Event::Proposal(batch(0)), net.now, &mut acts);
-        let scheduled = acts.iter().any(|a| {
-            matches!(
+        net.replicas[0].handle(Event::Tick, later, &mut acts);
+        assert!(
+            !acts.iter().any(|a| matches!(
                 a,
-                Action::ScheduleRetransmit {
-                    key: RetransmitKey::Propose { .. },
+                Action::Send {
+                    msg: ProtocolMsg::Propose { .. },
                     ..
                 }
-            )
-        });
-        assert!(scheduled);
-        net.route(ReplicaId(0), acts.clone());
-        // After routing, accepts came back and the slot decided.
-        assert_eq!(net.replicas[0].in_flight(), 0);
+            )),
+            "a decided slot is not resent: {acts:?}"
+        );
     }
 
     #[test]
@@ -1541,14 +1588,6 @@ mod tests {
         );
         assert!(out.is_empty(), "stale snapshot ignored: {out:?}");
         assert_eq!(r.decided_upto(), Slot(8));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn set_retention_maps_to_keep_slots() {
-        let mut r = PaxosReplica::new(ReplicaId(0), ClusterConfig::new(1));
-        r.set_retention(16);
-        assert_eq!(r.compaction(), CompactionPolicy::KeepSlots(16));
     }
 
     #[test]

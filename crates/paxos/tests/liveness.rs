@@ -197,15 +197,20 @@ fn heartbeats_advance_follower_knowledge() {
 
 const MS: u64 = 1_000_000;
 
-/// A clocked cluster for failure-detection scenarios: every replica gets
-/// an [`Event::Tick`] each `tick` of virtual time (half the default
-/// heartbeat interval, as in the runtime), messages are delivered at
-/// once, and one replica can be cut off from all of its peers.
+/// A clocked cluster for failure-detection and retransmission scenarios:
+/// every replica gets an [`Event::Tick`] each `tick` of virtual time
+/// (half the default heartbeat interval, as in the runtime), messages are
+/// delivered at once, one replica can be cut off from all of its peers,
+/// and messages of one kind can be lost on every link.
 struct Clocked {
     replicas: Vec<PaxosReplica>,
     now: u64,
     tick: u64,
     cut: Option<ReplicaId>,
+    /// Messages for which this returns true are lost on every link.
+    lose: fn(&ProtocolMsg) -> bool,
+    /// Every message sent, lost or not: (time, sender, message).
+    sent: Vec<(u64, ReplicaId, ProtocolMsg)>,
     /// `ServingChanged` actions seen, per replica, with their time.
     serving_changes: Vec<Vec<(u64, bool)>>,
 }
@@ -221,6 +226,8 @@ impl Clocked {
             now: 0,
             tick,
             cut: None,
+            lose: |_| false,
+            sent: Vec::new(),
             serving_changes: vec![Vec::new(); n],
         };
         for i in 0..n as u16 {
@@ -236,12 +243,13 @@ impl Clocked {
         for a in actions {
             match a {
                 Action::Send { to, msg } => {
+                    self.sent.push((self.now, at, msg.clone()));
                     let targets: Vec<ReplicaId> = match to {
                         Target::All => (0..n as u16).map(ReplicaId).filter(|r| *r != at).collect(),
                         Target::One(r) => vec![r],
                     };
                     for t in targets {
-                        if self.cut != Some(at) && self.cut != Some(t) {
+                        if self.cut != Some(at) && self.cut != Some(t) && !(self.lose)(&msg) {
                             self.event(
                                 t,
                                 Event::Message {
@@ -273,6 +281,36 @@ impl Clocked {
     fn views(&self) -> Vec<View> {
         self.replicas.iter().map(|r| r.view()).collect()
     }
+
+    /// Times at which `from` sent a message matching `kind` since `since`.
+    fn sends(&self, from: ReplicaId, since: u64, kind: fn(&ProtocolMsg) -> bool) -> Vec<u64> {
+        self.sent
+            .iter()
+            .filter(|(t, r, m)| *t >= since && *r == from && kind(m))
+            .map(|(t, _, _)| *t)
+            .collect()
+    }
+
+    /// The first tick at or after `t`.
+    fn tick_at_or_after(&self, t: u64) -> u64 {
+        t.div_ceil(self.tick) * self.tick
+    }
+}
+
+fn is_propose(m: &ProtocolMsg) -> bool {
+    matches!(m, ProtocolMsg::Propose { .. })
+}
+
+fn is_prepare(m: &ProtocolMsg) -> bool {
+    matches!(m, ProtocolMsg::Prepare { .. })
+}
+
+/// The resend interval after `attempt` resends, in ns.
+fn resend_interval(attempt: u32) -> u64 {
+    ClusterConfig::new(3)
+        .retransmit()
+        .interval(attempt)
+        .as_nanos() as u64
 }
 
 #[test]
@@ -380,4 +418,105 @@ fn suspicion_threshold_rises_under_gap_bursts() {
     // a 110 ms silence from it is not yet a failure.
     let bursty = suspicion_delay_after_gaps(60 * MS);
     assert!((120 * MS..=130 * MS).contains(&bursty), "{bursty}");
+}
+
+#[test]
+fn lost_propose_is_resent_with_backoff() {
+    let mut net = Clocked::new(3);
+    net.run_until(200 * MS);
+    net.lose = is_propose;
+    let at = net.now;
+    net.event(ReplicaId(0), Event::Proposal(batch(1)));
+    net.run_until(at + 1_000 * MS);
+    let sends = net.sends(ReplicaId(0), at, is_propose);
+    assert_eq!(sends[0], at, "first send");
+    let first = net.tick_at_or_after(at + resend_interval(0));
+    assert_eq!(
+        sends[1], first,
+        "first resend on the first tick after interval(0)"
+    );
+    let second = net.tick_at_or_after(first + resend_interval(1));
+    assert_eq!(sends[2], second, "second resend after interval(1)");
+    assert_eq!(net.replicas[0].in_flight(), 1, "still undecided");
+    assert_eq!(net.views(), vec![View(0); 3], "resends need no view change");
+}
+
+#[test]
+fn resends_stop_once_the_slot_decides() {
+    let mut net = Clocked::new(3);
+    net.run_until(200 * MS);
+    net.lose = is_propose;
+    let at = net.now;
+    net.event(ReplicaId(0), Event::Proposal(batch(1)));
+    net.run_until(at + 150 * MS);
+    assert_eq!(net.replicas[0].decided_upto(), Slot(0));
+    // Heal: the next resend gets through and the slot decides.
+    net.lose = |_| false;
+    let healed = net.now;
+    net.run_until(healed + 1_000 * MS);
+    assert_eq!(
+        net.replicas[0].decided_upto(),
+        Slot(1),
+        "decided by a resend"
+    );
+    assert_eq!(net.replicas[0].in_flight(), 0);
+    let after = net.sends(ReplicaId(0), healed, is_propose);
+    assert_eq!(
+        after.len(),
+        1,
+        "one resend decided it, then none: {after:?}"
+    );
+    net.run_until(healed + 5_000 * MS);
+    assert_eq!(net.sends(ReplicaId(0), healed, is_propose), after);
+}
+
+#[test]
+fn lost_prepare_is_resent_while_preparing() {
+    let mut net = Clocked::new(3);
+    net.run_until(200 * MS);
+    net.lose = is_prepare;
+    let at = net.now;
+    net.event(ReplicaId(1), Event::Suspect { view: View(0) });
+    assert_eq!(net.replicas[1].role(), ReplicaRole::Preparing);
+    net.run_until(at + 300 * MS);
+    let sends = net.sends(ReplicaId(1), at, is_prepare);
+    let first = net.tick_at_or_after(at + resend_interval(0));
+    let second = net.tick_at_or_after(first + resend_interval(1));
+    assert_eq!(sends, vec![at, first, second]);
+    assert_eq!(net.replicas[1].role(), ReplicaRole::Preparing);
+    // Heal: the next resend gathers the promises, and resends stop.
+    net.lose = |_| false;
+    let healed = net.now;
+    net.run_until(healed + 2_000 * MS);
+    assert_eq!(net.replicas[1].role(), ReplicaRole::Leading);
+    assert_eq!(net.replicas[1].view(), View(1));
+    assert_eq!(net.sends(ReplicaId(1), healed, is_prepare).len(), 1);
+}
+
+#[test]
+fn view_change_drops_every_pending_resend() {
+    let mut net = Clocked::new(3);
+    net.run_until(200 * MS);
+    net.lose = is_propose;
+    let at = net.now;
+    net.event(ReplicaId(0), Event::Proposal(batch(1)));
+    net.event(ReplicaId(0), Event::Proposal(batch(2)));
+    net.run_until(at + resend_interval(0));
+    assert_eq!(net.replicas[0].in_flight(), 2);
+    assert_eq!(
+        net.sends(ReplicaId(0), at, is_propose).len(),
+        4,
+        "both slots sent and resent once"
+    );
+    // Replica 1 takes over; its Prepare reaches replica 0.
+    let changed = net.now + 1;
+    net.now = changed;
+    net.event(ReplicaId(1), Event::Suspect { view: View(0) });
+    assert_eq!(net.replicas[0].view(), View(1));
+    assert_eq!(net.replicas[0].in_flight(), 0);
+    net.run_until(changed + 5_000 * MS);
+    assert!(
+        net.sends(ReplicaId(0), changed, is_propose).is_empty(),
+        "the deposed leader resends nothing"
+    );
 }

@@ -13,12 +13,6 @@
 //!    accounted to the calling thread via [`smr_metrics::ThreadHandle`],
 //!    which is how the per-thread profiles of Figs. 8/14 are produced.
 //!
-//! The crate also provides [`TimerQueue`], the Retransmitter's priority
-//! queue with lock-free cancellation (§V-C4: the Protocol thread cancels a
-//! pending retransmission by setting a volatile flag, without waking the
-//! Retransmitter thread).
-
-//!
 //! For Table I-style statistics, each queue exposes a type-erased
 //! [`QueueProbe`] (depth gauge, high-watermark, push/pop counters) that
 //! registers in a [`QueueRegistry`]; an opt-in [`DepthSampler`] thread
@@ -27,9 +21,7 @@
 mod bounded;
 mod mutex_core;
 mod registry;
-mod timer;
 
 pub use bounded::{BoundedQueue, PopError, PushError, QueueStats};
 pub use mutex_core::MutexBoundedQueue;
 pub use registry::{DepthSampler, QueueProbe, QueueRegistry};
-pub use timer::{CancelHandle, TimerEntry, TimerQueue};

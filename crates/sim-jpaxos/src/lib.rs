@@ -11,9 +11,9 @@
 //!
 //! The cost model ([`CostModel`]) assigns CPU time to each stage; its
 //! calibration rationale is documented field by field. We do not claim
-//! absolute-number fidelity to the paper's hardware — EXPERIMENTS.md
-//! records paper-vs-measured for every figure — but the shapes (scaling
-//! knees, plateau causes, contention signatures) are reproduced.
+//! absolute-number fidelity to the paper's hardware, but the shapes
+//! (scaling knees, plateau causes, contention signatures) are
+//! reproduced.
 //!
 //! # Examples
 //!

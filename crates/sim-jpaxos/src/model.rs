@@ -433,12 +433,9 @@ async fn route_actions(
                 decision_q.push((slot.0, batch)).await;
             }
             // No failures are injected in the performance experiments, so
-            // retransmission, view-change bookkeeping, and snapshot
-            // transfer are not modeled.
-            Action::ScheduleRetransmit { .. }
-            | Action::CancelRetransmit { .. }
-            | Action::CancelAllRetransmits
-            | Action::LeaderChanged { .. }
+            // view-change bookkeeping and snapshot transfer are not
+            // modeled.
+            Action::LeaderChanged { .. }
             | Action::ServingChanged { .. }
             | Action::SendSnapshot { .. }
             | Action::InstallSnapshot { .. } => {}

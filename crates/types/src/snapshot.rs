@@ -25,10 +25,10 @@ pub struct SnapshotBlob {
 
 /// Governs when a replica's log garbage-collects delivered slots.
 ///
-/// Replaces the bare retention count of `PaxosReplica::set_retention`:
-/// the policy is threaded through `ReplicaBuilder` so every layer —
-/// protocol log, catch-up serving, and snapshot transfer — agrees on
-/// what history still exists.
+/// Set on the protocol core with `PaxosReplica::set_compaction` and
+/// threaded through `ReplicaBuilder`, so every layer — protocol log,
+/// catch-up serving, and snapshot transfer — agrees on what history
+/// still exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompactionPolicy {
     /// Never garbage-collect (unbounded memory; tests and short runs).

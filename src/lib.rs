@@ -36,7 +36,7 @@
 //! |---|---|---|
 //! | [`types`] | `smr-types` | Ids, configuration (`WND`, `BSZ`, queue bounds), errors |
 //! | [`wire`] | `smr-wire` | Message types, binary codec, CRC framing |
-//! | [`queue`] | `smr-queue` | Instrumented bounded queues, retransmission timer queue |
+//! | [`queue`] | `smr-queue` | Instrumented bounded queues, queue registry and depth sampler |
 //! | [`metrics`] | `smr-metrics` | Per-thread busy/blocked/waiting/other accounting |
 //! | [`paxos`] | `smr-paxos` | Pure MultiPaxos state machine (events in, actions out) |
 //! | [`net`] | `smr-net` | In-memory (fault-injecting) and TCP transports |
@@ -54,9 +54,6 @@
 //! cargo run --release -p smr-bench --bin fig04_05_parapluie
 //! cargo run --release -p smr-bench --bin fig12_13_14_vs_zookeeper
 //! ```
-//!
-//! See DESIGN.md for the experiment index and EXPERIMENTS.md for
-//! paper-vs-measured results.
 
 pub use smr_core as core;
 pub use smr_metrics as metrics;

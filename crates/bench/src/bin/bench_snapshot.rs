@@ -1,20 +1,17 @@
-//! Perf-trajectory snapshot: runs the queue, codec, and CRC microbenches
-//! plus the in-memory cluster throughput loop, and writes the results as
-//! JSON to the path given as the first argument (e.g. `BENCH_PR5.json`).
+//! Perf-trajectory snapshot of the microbenchmarks: queue, codec, CRC,
+//! executor, ClientIO connection scaling, snapshot and recovery. Writes
+//! the results as JSON to the path given as the first argument (e.g.
+//! `BENCH_PR5.json`).
 //!
-//! The committed snapshot starts the repo's perf trajectory: each perf
-//! PR re-runs this tool and commits a new `BENCH_PRn.json`, so numbers
-//! are always comparisons within one run on one machine, never across
-//! machines or commits.
+//! Each perf change re-runs this tool and commits a new
+//! `BENCH_PRn.json`, so numbers are always comparisons within one run on
+//! one machine, never across machines or commits. End-to-end cluster
+//! figures come from `perfbench/`, not from here.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smr_core::{InProcessCluster, NullService};
-use smr_metrics::MetricsSnapshot;
-use smr_types::{ClientId, ClusterConfig, RequestId, SeqNum};
+use smr_types::{ClientId, RequestId, SeqNum};
 use smr_wire::{crc32, crc32_bytewise, Batch, Codec, Request};
 
 /// Items moved per contended MPMC measurement.
@@ -82,80 +79,6 @@ fn crc_gibps(f: impl Fn(&[u8]) -> u32) -> f64 {
     (iters * buf.len() as u64) as f64 / start.elapsed().as_secs_f64() / (1u64 << 30) as f64
 }
 
-/// Drives an already-started cluster with closed-loop clients for
-/// `window`; returns requests/second.
-fn drive(cluster: &InProcessCluster, clients: usize, window: Duration) -> f64 {
-    // Warm-up: let the leader settle before the timed window.
-    let mut warm = cluster.client();
-    for _ in 0..50 {
-        warm.execute(&[0u8; 128]).expect("warm-up request");
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    let workers: Vec<_> = (0..clients)
-        .map(|_| {
-            let mut client = cluster.client();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let payload = [0u8; 128];
-                let mut done = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    if client.execute(&payload).is_err() {
-                        break;
-                    }
-                    done += 1;
-                }
-                done
-            })
-        })
-        .collect();
-    let start = Instant::now();
-    std::thread::sleep(window);
-    stop.store(true, Ordering::Relaxed);
-    let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-    total as f64 / start.elapsed().as_secs_f64()
-}
-
-/// The leader's metrics snapshot (whichever replica holds the lease).
-fn leader_snapshot(cluster: &InProcessCluster) -> MetricsSnapshot {
-    let leader = cluster
-        .config()
-        .replicas()
-        .find(|id| cluster.replica(*id).shared().is_leader())
-        .expect("a leader is elected");
-    cluster.replica(leader).metrics_snapshot()
-}
-
-/// In-memory 3-replica cluster with the paper's null service; returns
-/// throughput plus the leader's metrics snapshot (which carries the
-/// per-stage latency breakdown when `stage_metrics` is on).
-fn cluster_run(clients: usize, window: Duration, stage_metrics: bool) -> (f64, MetricsSnapshot) {
-    let cluster = InProcessCluster::start_with(ClusterConfig::new(3), |_, builder| {
-        builder
-            .with_service(Box::new(NullService::default()))
-            .with_stage_metrics(stage_metrics)
-    });
-    let rps = drive(&cluster, clients, window);
-    let snap = leader_snapshot(&cluster);
-    cluster.shutdown();
-    (rps, snap)
-}
-
-/// Same cluster with a write-ahead log per replica, for the WAL
-/// append/fsync (group-commit) latency fields.
-fn durable_cluster_run(clients: usize, window: Duration) -> (f64, MetricsSnapshot) {
-    let wal_root = std::env::temp_dir().join(format!("bench-snap-wal-{}", std::process::id()));
-    let cluster = InProcessCluster::start_with(ClusterConfig::new(3), |id, builder| {
-        builder
-            .with_snapshot_service(Box::new(NullService::default()))
-            .with_durability(wal_root.join(format!("replica-{}", id.0)))
-    });
-    let rps = drive(&cluster, clients, window);
-    let snap = leader_snapshot(&cluster);
-    cluster.shutdown();
-    let _ = std::fs::remove_dir_all(&wal_root);
-    (rps, snap)
-}
-
 fn json_number(v: f64) -> String {
     if v >= 100.0 {
         format!("{v:.0}")
@@ -173,7 +96,7 @@ fn main() {
     };
     smr_bench::banner(
         "bench_snapshot",
-        "queue/codec/crc microbenches + in-memory cluster throughput",
+        "queue/codec/crc/exec/clientio/snapshot microbenches",
     );
 
     let scalar_unc = {
@@ -228,43 +151,6 @@ fn main() {
     let crc_slow = crc_gibps(crc32_bytewise);
     println!("crc32 bytewise   (4KiB)       {:>12.2} GiB/s", crc_slow);
 
-    let (cluster_rps, stage_snap) = cluster_run(8, Duration::from_secs(2), true);
-    println!("cluster n=3 null-service      {:>12.0} req/s", cluster_rps);
-    let stage_us = |name: &str, pick: fn(&smr_metrics::HistogramSummary) -> f64| {
-        stage_snap
-            .histogram(name)
-            .map_or(0.0, |h| pick(h) / 1_000.0)
-    };
-    for name in ["stage.proposed_to_decided", "stage.intake_to_reply"] {
-        println!(
-            "{name:<22} p50/p95/p99   {:>8.1}/{:.1}/{:.1} us",
-            stage_us(name, |h| h.p50_ns),
-            stage_us(name, |h| h.p95_ns),
-            stage_us(name, |h| h.p99_ns),
-        );
-    }
-    // The same cluster with stage stamping compiled in but switched off:
-    // the difference is the observability overhead on the hot path.
-    let (cluster_rps_off, _) = cluster_run(8, Duration::from_secs(2), false);
-    println!(
-        "cluster n=3 metrics-off       {:>12.0} req/s",
-        cluster_rps_off
-    );
-    let metrics_ratio = cluster_rps_off / cluster_rps;
-    println!("cluster metrics-off/on        {:>12.2} x", metrics_ratio);
-    let (durable_rps, wal_snap) = durable_cluster_run(8, Duration::from_secs(2));
-    println!("cluster n=3 durable (WAL)     {:>12.0} req/s", durable_rps);
-    let wal_us = |name: &str, pick: fn(&smr_metrics::HistogramSummary) -> f64| {
-        wal_snap.histogram(name).map_or(0.0, |h| pick(h) / 1_000.0)
-    };
-    for name in ["wal.append", "wal.fsync"] {
-        println!(
-            "{name:<22} p50/p99       {:>8.1}/{:.1} us",
-            wal_us(name, |h| h.p50_ns),
-            wal_us(name, |h| h.p99_ns),
-        );
-    }
-
     // Sequential vs dependency-aware parallel execution of a heavyweight
     // service on a conflict-free decided order. Two regimes: pure CPU
     // (only wins with real cores — on a single-core host this records
@@ -289,11 +175,8 @@ fn main() {
     println!("exec stall parallel/sequential{:>12.2} x", stall_ratio);
 
     // Client-path connection scaling over real TCP loopback: the
-    // threaded mode scans every owned connection per wakeup, the evented
-    // mode pays one epoll_wait. The headline ratio holds the evented
-    // mode at 4x the threaded idle-connection count — the acceptance
-    // shape for the readiness-loop ClientIO ("evented sustains >= 4x the
-    // connections at equal-or-better throughput, same run, same host").
+    // readiness loop pays one epoll_wait per wakeup, so 4x the idle
+    // connections should cost little throughput.
     let cio_cell = |idle| smr_bench::ClientIoCell {
         pool: 2,
         idle_conns: idle,
@@ -301,22 +184,10 @@ fn main() {
         active_clients: 4,
         window: Duration::from_millis(1500),
     };
-    let cio = |mode, idle| smr_bench::clientio_tcp_run(mode, cio_cell(idle));
-    let thr_idle128 = cio(smr_bench::IoMode::Threaded, 128);
-    println!("clientio tcp threaded 128idle {:>12.0} req/s", thr_idle128);
-    let thr_idle512 = cio(smr_bench::IoMode::Threaded, 512);
-    println!("clientio tcp threaded 512idle {:>12.0} req/s", thr_idle512);
-    let ev_idle128 = cio(smr_bench::IoMode::Evented, 128);
+    let ev_idle128 = smr_bench::clientio_tcp_run(cio_cell(128));
     println!("clientio tcp evented  128idle {:>12.0} req/s", ev_idle128);
-    let ev_idle512 = cio(smr_bench::IoMode::Evented, 512);
+    let ev_idle512 = smr_bench::clientio_tcp_run(cio_cell(512));
     println!("clientio tcp evented  512idle {:>12.0} req/s", ev_idle512);
-    let ev4x_over_thr = ev_idle512 / thr_idle128;
-    println!("clientio evented@512/threaded@128 {:>8.2} x", ev4x_over_thr);
-    let ev_over_thr_512 = ev_idle512 / thr_idle512;
-    println!(
-        "clientio evented/threaded @512    {:>8.2} x",
-        ev_over_thr_512
-    );
 
     // Durability path: snapshot serialization/deserialization over a
     // populated KV state, and cold-start WAL recovery (open + CRC scan +
@@ -353,54 +224,18 @@ fn main() {
     field("codec_batch8_128b_roundtrip_ns", codec_ns);
     field("crc32_slice8_4kib_gib_per_s", crc_fast);
     field("crc32_bytewise_4kib_gib_per_s", crc_slow);
-    field("cluster_n3_null_rps", cluster_rps);
-    field("cluster_n3_null_metrics_off_rps", cluster_rps_off);
-    field("cluster_metrics_off_over_on", metrics_ratio);
-    field("cluster_n3_durable_rps", durable_rps);
-    field(
-        "stage_proposed_to_decided_p50_us",
-        stage_us("stage.proposed_to_decided", |h| h.p50_ns),
-    );
-    field(
-        "stage_proposed_to_decided_p95_us",
-        stage_us("stage.proposed_to_decided", |h| h.p95_ns),
-    );
-    field(
-        "stage_proposed_to_decided_p99_us",
-        stage_us("stage.proposed_to_decided", |h| h.p99_ns),
-    );
-    field(
-        "stage_intake_to_reply_p50_us",
-        stage_us("stage.intake_to_reply", |h| h.p50_ns),
-    );
-    field(
-        "stage_intake_to_reply_p95_us",
-        stage_us("stage.intake_to_reply", |h| h.p95_ns),
-    );
-    field(
-        "stage_intake_to_reply_p99_us",
-        stage_us("stage.intake_to_reply", |h| h.p99_ns),
-    );
-    field("wal_append_p50_us", wal_us("wal.append", |h| h.p50_ns));
-    field("wal_append_p99_us", wal_us("wal.append", |h| h.p99_ns));
-    field("wal_fsync_p50_us", wal_us("wal.fsync", |h| h.p50_ns));
-    field("wal_fsync_p99_us", wal_us("wal.fsync", |h| h.p99_ns));
     field("exec_cpu_sequential_cmds_per_s", cpu_seq);
     field("exec_cpu_parallel4_cmds_per_s", cpu_par);
     field("exec_cpu_parallel_over_sequential", cpu_ratio);
     field("exec_stall_sequential_cmds_per_s", stall_seq);
     field("exec_stall_parallel8_cmds_per_s", stall_par);
     field("exec_stall_parallel_over_sequential", stall_ratio);
-    field("clientio_tcp_threaded_idle128_rps", thr_idle128);
-    field("clientio_tcp_threaded_idle512_rps", thr_idle512);
     field("clientio_tcp_evented_idle128_rps", ev_idle128);
     field("clientio_tcp_evented_idle512_rps", ev_idle512);
-    field("clientio_evented512_over_threaded128", ev4x_over_thr);
-    field("clientio_evented_over_threaded_at512", ev_over_thr_512);
     field("snapshot_write_10k_entries_per_s", snap_write);
     field("snapshot_restore_10k_entries_per_s", snap_restore);
     field("recovery_replay_wal_reqs_per_s", replay);
-    json.push_str("  \"workload\": \"4x4 MPMC, burst 64, batch 8x128B, crc 4KiB, 8 closed-loop clients x 2s, clientio tcp n=1 pool=2 4 clients x 1.5s at 128/512 idle conns, exec 2000 cmds x 2000 hash rounds + 512 cmds x 150us stall, snapshot 10k entries x 20, replay 4000 wal batches x 8\"\n}\n");
+    json.push_str("  \"workload\": \"4x4 MPMC, burst 64, batch 8x128B, crc 4KiB, clientio tcp n=1 pool=2 4 clients x 1.5s at 128/512 idle conns, exec 2000 cmds x 2000 hash rounds + 512 cmds x 150us stall, snapshot 10k entries x 20, replay 4000 wal batches x 8\"\n}\n");
     std::fs::write(&out_path, json).expect("write snapshot");
     println!("wrote {out_path}");
 }

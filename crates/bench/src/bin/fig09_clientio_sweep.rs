@@ -1,8 +1,8 @@
 //! Figure 9: the ClientIO axis — first the paper's simulated curve
 //! (throughput and leader CPU vs number of ClientIO threads on
 //! parapluie), then a *real* sweep of this repo's client path over TCP:
-//! I/O mode (thread-pool scanning vs evented readiness loop) × pool
-//! size × idle-connection count × reply-queue capacity.
+//! pool size × idle-connection count × reply-queue capacity, on the one
+//! ClientIO readiness loop.
 //!
 //! Paper reference points: ~40K requests/s with one ClientIO thread,
 //! \>100K with four (a 2.5x gain from three added threads), then a slight
@@ -13,14 +13,13 @@
 //! throughput curve.
 //!
 //! The real sweep extends the axis the paper could not vary: connection
-//! count. The threaded mode scans every owned connection per wakeup
-//! (O(connections) per iteration); the evented mode pays one
-//! `epoll_wait` (O(ready)). Pass `--quick` for a small smoke
-//! configuration.
+//! count. The readiness loop pays one `epoll_wait` per wakeup
+//! (O(ready), not O(connections)), so throughput should hold as idle
+//! connections grow. Pass `--quick` for a small smoke configuration.
 
 use std::time::Duration;
 
-use smr_bench::{clientio_tcp_run, ClientIoCell, IoMode};
+use smr_bench::{clientio_tcp_run, ClientIoCell};
 use smr_sim_jpaxos::{run_experiment, ExperimentConfig};
 
 fn main() {
@@ -80,7 +79,7 @@ fn main() {
     };
     smr_bench::banner(
         "ClientIO connection scaling (this host, n=1, TCP loopback)",
-        "mode x pool x idle connections x reply-queue capacity, 4 closed-loop clients",
+        "pool x idle connections x reply-queue capacity, 4 closed-loop clients",
     );
     let mut rows = Vec::new();
     for &pool in &pools {
@@ -93,31 +92,17 @@ fn main() {
                     active_clients: 4,
                     window,
                 };
-                let thr = clientio_tcp_run(IoMode::Threaded, cell);
-                let ev = clientio_tcp_run(IoMode::Evented, cell);
                 rows.push(vec![
                     pool.to_string(),
                     cap.to_string(),
                     idle.to_string(),
-                    smr_bench::fmt(thr, 0),
-                    smr_bench::fmt(ev, 0),
-                    smr_bench::fmt(ev / thr, 2),
+                    smr_bench::fmt(clientio_tcp_run(cell), 0),
                 ]);
             }
         }
     }
     println!(
         "{}",
-        smr_bench::render_table(
-            &[
-                "pool",
-                "reply-cap",
-                "idle conns",
-                "threaded req/s",
-                "evented req/s",
-                "evented/threaded"
-            ],
-            &rows
-        )
+        smr_bench::render_table(&["pool", "reply-cap", "idle conns", "req/s"], &rows)
     );
 }

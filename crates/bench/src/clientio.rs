@@ -3,11 +3,9 @@
 //! A single replica (consensus over the in-memory fabric, so the client
 //! path is the only variable) serves closed-loop TCP clients while a
 //! configurable number of connected-but-silent TCP connections sit on
-//! the same listener. The threaded ClientIO mode scans every owned
-//! connection per wakeup, so its per-iteration cost grows with the
-//! connection count; the evented mode pays one `epoll_wait` regardless.
-//! Sweeping the idle-connection axis against both modes is what turns
-//! that asymptotic claim into a same-run measured ratio (Fig. 9's
+//! the same listener. ClientIO's readiness loop pays one `epoll_wait`
+//! per wakeup however many connections it owns; sweeping the
+//! idle-connection axis checks that claim by measurement (Fig. 9's
 //! ClientIO axis, extended to connection count).
 
 use std::net::{SocketAddr, TcpStream};
@@ -15,31 +13,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smr_core::{EventedIoOptions, NullService, ReplicaBuilder, SmrClient};
+use smr_core::{NullService, ReplicaBuilder, SmrClient};
 use smr_net::memory::MemoryHub;
 use smr_net::tcp::{TcpClientEndpoint, TcpClientListener};
 use smr_types::{ClientId, ClusterConfig, ReplicaId};
-
-/// Which client-facing I/O implementation the replica runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
-    /// The compat default: a pool of threads, each scanning its owned
-    /// connections with nonblocking reads.
-    Threaded,
-    /// The readiness loop: each pool thread owns an epoll instance and a
-    /// connection slab.
-    Evented,
-}
-
-impl IoMode {
-    /// Short label for tables and JSON field names.
-    pub fn label(self) -> &'static str {
-        match self {
-            IoMode::Threaded => "threaded",
-            IoMode::Evented => "evented",
-        }
-    }
-}
 
 /// One cell of the connection-scaling sweep.
 #[derive(Debug, Clone, Copy)]
@@ -57,7 +34,7 @@ pub struct ClientIoCell {
 }
 
 /// Runs one sweep cell: a single-replica cluster with a TCP client
-/// listener in the given I/O mode, `idle_conns` silent connections, and
+/// listener, `idle_conns` silent connections, and
 /// `active_clients` closed-loop TCP clients. Returns requests/second
 /// over the window.
 ///
@@ -66,7 +43,7 @@ pub struct ClientIoCell {
 /// Panics if the replica fails to start or a connection fails — the
 /// harness runs against 127.0.0.1, so failures indicate bugs or fd
 /// exhaustion, not environment flakiness worth recovering from.
-pub fn clientio_tcp_run(mode: IoMode, cell: ClientIoCell) -> f64 {
+pub fn clientio_tcp_run(cell: ClientIoCell) -> f64 {
     let config = ClusterConfig::builder(1)
         .client_io_threads(cell.pool)
         .reply_queue_capacity(cell.reply_capacity)
@@ -76,17 +53,15 @@ pub fn clientio_tcp_run(mode: IoMode, cell: ClientIoCell) -> f64 {
     let listener = TcpClientListener::bind("127.0.0.1:0".parse().unwrap()).expect("bind listener");
     let addr = listener.local_addr().expect("local addr");
 
-    let mut builder = ReplicaBuilder::new(ReplicaId(0), config)
+    let replica = ReplicaBuilder::new(ReplicaId(0), config)
         .with_network(Arc::new(hub.replica_network(ReplicaId(0))))
         .with_client_listener(Box::new(listener))
-        .with_service(Box::new(NullService::default()));
-    if mode == IoMode::Evented {
-        builder = builder.with_evented_client_io(cell.pool, EventedIoOptions::default());
-    }
-    let replica = builder.start().expect("replica starts");
+        .with_service(Box::new(NullService::default()))
+        .start()
+        .expect("replica starts");
 
-    // Idle connections: opened before the timed window so both modes
-    // carry them for the whole measurement. They never write a byte.
+    // Idle connections: opened before the timed window so the loop
+    // carries them for the whole measurement. They never write a byte.
     let idle: Vec<TcpStream> = (0..cell.idle_conns)
         .map(|_| TcpStream::connect(addr).expect("idle connect"))
         .collect();
@@ -140,19 +115,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_modes_serve_requests_over_tcp() {
-        for mode in [IoMode::Threaded, IoMode::Evented] {
-            let rps = clientio_tcp_run(
-                mode,
-                ClientIoCell {
-                    pool: 1,
-                    idle_conns: 4,
-                    reply_capacity: 1024,
-                    active_clients: 2,
-                    window: Duration::from_millis(300),
-                },
-            );
-            assert!(rps > 0.0, "{} mode moved no requests", mode.label());
-        }
+    fn serves_requests_over_tcp() {
+        let rps = clientio_tcp_run(ClientIoCell {
+            pool: 1,
+            idle_conns: 4,
+            reply_capacity: 1024,
+            active_clients: 2,
+            window: Duration::from_millis(300),
+        });
+        assert!(rps > 0.0, "no requests moved");
     }
 }

@@ -16,7 +16,7 @@ mod clientio;
 mod exec;
 mod recovery;
 
-pub use clientio::{clientio_tcp_run, ClientIoCell, IoMode};
+pub use clientio::{clientio_tcp_run, ClientIoCell};
 pub use exec::{exec_parallel, exec_sequential, CpuHashService};
 pub use recovery::{recovery_replay, snapshot_restore, snapshot_write};
 

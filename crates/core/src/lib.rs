@@ -18,11 +18,12 @@
 //!
 //! Module-by-module correspondence with the paper:
 //!
-//! * **ClientIO** (§V-A): a configurable pool of threads, each owning a
-//!   subset of client connections (round-robin assignment), doing
-//!   decode/encode, reply-cache probes, and redirects. Never blocks on a
-//!   full RequestQueue — it pauses *reading* instead, which is what lets
-//!   TCP backpressure propagate to clients (§V-E) without deadlock.
+//! * **ClientIO** (§V-A): a configurable pool of threads, each running
+//!   one epoll readiness loop over a subset of client connections
+//!   (round-robin assignment), doing decode/encode, reply-cache probes,
+//!   and redirects. Never blocks on a full RequestQueue — it pauses
+//!   *reading* instead, which is what lets TCP backpressure propagate to
+//!   clients (§V-E) without deadlock — nor on a slow reader's socket.
 //! * **ReplicaIO** (§V-B): one sender + one receiver thread per peer,
 //!   blocking I/O, dedicated SendQueues so the Protocol thread never
 //!   blocks on a socket.

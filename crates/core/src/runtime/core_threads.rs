@@ -9,7 +9,7 @@ use smr_queue::PopError;
 use smr_types::{RequestId, Slot};
 use smr_wire::{Batch, ProtocolMsg, Request};
 
-use super::stage::{batch_key, BatchStamp, StageClock};
+use super::stage::{batch_key, BatchStamp, IntakeMean, StageClock};
 use super::{Ctx, Decision};
 
 /// Most requests the Batcher moves out of the RequestQueue per lock
@@ -25,16 +25,16 @@ const EVENT_BURST: usize = 256;
 /// move under one RequestQueue lock acquisition, and every batch they
 /// complete is handed to the ProposalQueue in one bulk push.
 ///
-/// Each request arrives paired with its intake stamp; the stamp of the
-/// request that *opens* a batch becomes the batch's intake time, and
-/// sealing records the intake → sealed transition.
+/// Each request arrives paired with its intake stamp; the mean of a
+/// batch's stamps becomes the batch's intake time, and sealing records
+/// the intake → sealed transition.
 pub(crate) fn run_batcher(ctx: &Ctx) {
     let handle = ctx.metrics.register_thread("Batcher");
     let mut builder = BatchBuilder::new(ctx.config.batch());
     let mut burst: Vec<(Request, u64)> = Vec::new();
     let mut completed: Vec<(Batch, BatchStamp)> = Vec::new();
-    // Intake stamp of the batch currently open in the builder.
-    let mut open_intake = 0u64;
+    // Intake stamps of the batch currently open in the builder.
+    let mut open_intake = IntakeMean::default();
     loop {
         let now = ctx.shared.now_ns();
         // Wait at most until the open batch's deadline.
@@ -49,23 +49,23 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
             Ok(_) => {
                 let now = ctx.shared.now_ns();
                 for (req, intake_ns) in burst.drain(..) {
-                    if builder.pending_len() == 0 {
-                        open_intake = intake_ns;
+                    let Some(batch) = builder.push(req, now) else {
+                        open_intake.add(intake_ns);
+                        continue;
+                    };
+                    // The request either closed the sealed batch or
+                    // overflowed it and opened the next one.
+                    let overflowed = builder.pending_len() > 0;
+                    if !overflowed {
+                        open_intake.add(intake_ns);
                     }
-                    if let Some(batch) = builder.push(req, now) {
-                        completed.push((
-                            batch,
-                            BatchStamp {
-                                intake_ns: open_intake,
-                                sealed_ns: now,
-                            },
-                        ));
-                        if builder.pending_len() > 0 {
-                            // The request overflowed the previous batch
-                            // and opened the next one: it owns the new
-                            // batch's intake stamp.
-                            open_intake = intake_ns;
-                        }
+                    let stamp = BatchStamp {
+                        intake_ns: open_intake.take(),
+                        sealed_ns: now,
+                    };
+                    completed.push((batch, stamp));
+                    if overflowed {
+                        open_intake.add(intake_ns);
                     }
                 }
                 if !completed.is_empty() {
@@ -85,7 +85,7 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
                 let now = ctx.shared.now_ns();
                 if let Some(batch) = builder.poll_timeout(now) {
                     let stamp = BatchStamp {
-                        intake_ns: open_intake,
+                        intake_ns: open_intake.take(),
                         sealed_ns: now,
                     };
                     ctx.stage.record_sealed(stamp);
@@ -286,7 +286,7 @@ fn apply_actions(
                 ctx.shared.set_serving(serving);
                 if !serving {
                     // Every ClientIO thread redirects all of its
-                    // connections; evented ones may be in epoll_wait.
+                    // connections; each may be in epoll_wait.
                     for waker in &ctx.io_wakers {
                         waker.ring();
                     }

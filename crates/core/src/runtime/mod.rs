@@ -2,7 +2,6 @@
 
 mod client_io;
 mod core_threads;
-mod evented;
 mod replica_io;
 mod service_manager;
 mod stage;
@@ -34,18 +33,9 @@ use crate::service::{
 };
 use crate::shared::SharedState;
 
-pub use evented::EventedIoOptions;
-pub(crate) use evented::IoWaker;
+pub use client_io::EventedIoOptions;
+pub(crate) use client_io::IoWaker;
 pub(crate) use service_manager::SnapshotRig;
-
-/// Which ClientIO implementation the builder spawns.
-enum ClientIoMode {
-    /// Thread-per-connection-scan pool (the paper's §V-A; default).
-    Threaded,
-    /// Readiness loop: `pool` threads, each owning an epoll instance and
-    /// a connection slab (see [`evented`]).
-    Evented { pool: usize, opts: EventedIoOptions },
-}
 
 /// How the ServiceManager executes decided commands.
 enum ServiceMode {
@@ -162,7 +152,8 @@ pub(crate) struct Ctx {
     /// Indexed by ClientIO thread: newly accepted connections.
     pub intake_qs: Vec<BoundedQueue<Box<dyn ClientConn>>>,
     /// Indexed by ClientIO thread: rings the thread out of `epoll_wait`
-    /// when replies or connections land. No-ops in threaded mode.
+    /// when replies or connections land. No-ops on a thread that runs
+    /// without epoll.
     pub io_wakers: Vec<IoWaker>,
     pub network: Arc<dyn ReplicaNetwork>,
     /// Frames dropped because a SendQueue was full (the non-blocking
@@ -220,7 +211,10 @@ pub struct ReplicaBuilder {
     stage_metrics: bool,
     metrics_dump: Option<(PathBuf, Duration)>,
     queue_sampler: Option<Duration>,
-    client_io_mode: ClientIoMode,
+    /// ClientIO pool size override; `None` uses
+    /// [`ClusterConfig::client_io_threads`].
+    client_io_pool: Option<usize>,
+    client_io_opts: EventedIoOptions,
 }
 
 impl ReplicaBuilder {
@@ -240,7 +234,8 @@ impl ReplicaBuilder {
             stage_metrics: true,
             metrics_dump: None,
             queue_sampler: None,
-            client_io_mode: ClientIoMode::Threaded,
+            client_io_pool: None,
+            client_io_opts: EventedIoOptions::default(),
         }
     }
 
@@ -338,20 +333,19 @@ impl ReplicaBuilder {
         self
     }
 
-    /// Replaces the thread-per-connection-scan ClientIO pool with the
-    /// evented path: `pool` readiness-loop threads, each owning an epoll
-    /// instance and a slab of connections, with per-connection reply
-    /// coalescing and slow-reader backpressure (see [`EventedIoOptions`]).
-    /// `pool` overrides [`ClusterConfig::client_io_threads`] and is
-    /// clamped to at least 1. The protocol pipeline is unaffected; on
-    /// platforms without epoll the pool degrades to the threaded loop.
+    /// Overrides the ClientIO pool's size and slow-reader limits
+    /// (optional). Each of the `pool` threads runs the readiness loop
+    /// over its share of the connections; `opts` sets the per-connection
+    /// outbound cap, the overflow a slow reader may build before it is
+    /// dropped, and the scan tick (see [`EventedIoOptions`]). `pool`
+    /// replaces [`ClusterConfig::client_io_threads`] and is clamped to at
+    /// least 1. Without this call the pool has
+    /// `config.client_io_threads()` threads and the default options.
     ///
     /// [`ClusterConfig::client_io_threads`]: smr_types::ClusterConfig::client_io_threads
     pub fn with_evented_client_io(mut self, pool: usize, opts: EventedIoOptions) -> Self {
-        self.client_io_mode = ClientIoMode::Evented {
-            pool: pool.max(1),
-            opts,
-        };
+        self.client_io_pool = Some(pool.max(1));
+        self.client_io_opts = opts;
         self
     }
 
@@ -468,14 +462,10 @@ impl ReplicaBuilder {
         let config = self.config;
         let me = self.me;
         let n = config.n();
-        let evented_opts = match &self.client_io_mode {
-            ClientIoMode::Threaded => None,
-            ClientIoMode::Evented { opts, .. } => Some(opts.clone()),
-        };
-        let k = match &self.client_io_mode {
-            ClientIoMode::Threaded => config.client_io_threads(),
-            ClientIoMode::Evented { pool, .. } => *pool,
-        };
+        let client_io_opts = self.client_io_opts;
+        let k = self
+            .client_io_pool
+            .unwrap_or_else(|| config.client_io_threads());
         let stage = StageMetrics::new(&metrics, self.stage_metrics);
         // A named counter rather than a free-floating one, so the
         // metrics export picks it up with everything else.
@@ -503,7 +493,7 @@ impl ReplicaBuilder {
             intake_qs: (0..k)
                 .map(|i| BoundedQueue::new(format!("ConnIntake-{i}"), 1024))
                 .collect(),
-            io_wakers: (0..k).map(|_| IoWaker::empty()).collect(),
+            io_wakers: (0..k).map(|_| IoWaker::default()).collect(),
             network,
             send_drops,
             snapshots: SnapshotStore::new(),
@@ -543,30 +533,20 @@ impl ReplicaBuilder {
                 .expect("spawn replica thread")
         };
 
-        // ClientIO pool + acceptor (§V-A) — threaded or evented per the
-        // builder; the rest of the pipeline is identical either way.
+        // ClientIO pool + acceptor (§V-A).
         for i in 0..k {
             let ctx2 = Arc::clone(&ctx);
+            let opts = client_io_opts.clone();
             threads.push(spawn(
                 format!("ClientIO-{i}"),
-                match &evented_opts {
-                    Some(opts) => {
-                        let opts = opts.clone();
-                        Box::new(move || evented::run_evented_client_io(&ctx2, i, &opts))
-                    }
-                    None => Box::new(move || client_io::run_client_io(&ctx2, i)),
-                },
+                Box::new(move || client_io::run_client_io(&ctx2, i, &opts)),
             ));
         }
         {
             let ctx2 = Arc::clone(&ctx);
             threads.push(spawn(
                 "ClientAcceptor".into(),
-                if evented_opts.is_some() {
-                    Box::new(move || evented::run_evented_acceptor(&ctx2, listener))
-                } else {
-                    Box::new(move || client_io::run_acceptor(&ctx2, listener))
-                },
+                Box::new(move || client_io::run_acceptor(&ctx2, listener)),
             ));
         }
         // ReplicaIO: one sender + one receiver per peer (§V-B).
@@ -873,7 +853,7 @@ impl Replica {
             q.close();
         }
         self.ctx.network.shutdown();
-        // Kick evented ClientIO threads out of epoll_wait so they
+        // Kick ClientIO threads out of epoll_wait so they
         // observe the flag now rather than at their next timeout.
         for w in &self.ctx.io_wakers {
             w.ring();

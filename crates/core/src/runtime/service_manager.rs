@@ -497,8 +497,8 @@ fn route_replies(
     for (cio, outbox) in outboxes.iter_mut().enumerate() {
         if !outbox.is_empty() {
             // Ring before a potentially blocking push: if the queue is
-            // full, the drain this push waits for needs the evented
-            // thread out of epoll_wait. (No-op in threaded mode.)
+            // full, the drain this push waits for needs the ClientIO
+            // thread out of epoll_wait.
             ctx.io_wakers[cio].ring();
             if ctx.reply_qs[cio]
                 .push_many_with(outbox.drain(..), handle)

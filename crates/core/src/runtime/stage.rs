@@ -1,7 +1,8 @@
 //! Slot-lifecycle latency breakdown: stage stamps and their histograms.
 //!
 //! A batch crosses the pipeline of Fig. 3 through fixed stage
-//! boundaries: request **intake** (ClientIO decodes it) → batch
+//! boundaries: request **intake** (ClientIO decodes it; a batch's
+//! intake is the mean over its requests) → batch
 //! **sealed** (Batcher closes the batch) → **proposed** (Protocol
 //! thread starts the ballot) → **decided** (consensus) → **executed**
 //! (ServiceManager ran it) → **reply enqueued** (handed to ClientIO).
@@ -21,7 +22,8 @@ use crate::shared::SharedState;
 /// Stamps a batch carries from the Batcher to the Protocol thread.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BatchStamp {
-    /// When the batch's first request left its ClientIO thread.
+    /// Mean of the batch's requests' intake stamps (when each left its
+    /// ClientIO thread; see [`IntakeMean`]).
     pub intake_ns: u64,
     /// When the Batcher sealed the batch.
     pub sealed_ns: u64,
@@ -31,7 +33,7 @@ pub(crate) struct BatchStamp {
 /// with `Decision::Apply` into the ServiceManager.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct StageClock {
-    /// When the batch's first request left its ClientIO thread.
+    /// Mean of the batch's requests' intake stamps.
     pub intake_ns: u64,
     /// When the Batcher sealed the batch. Not consumed by a transition
     /// (sealed→proposed is recorded before the clock is built) but
@@ -53,7 +55,8 @@ pub(crate) struct StageMetrics {
     /// Whether stage stamping and recording is on. Off ⇒ every record_*
     /// call is a single branch.
     pub enabled: bool,
-    /// Request intake → batch sealed (Batcher queueing + fill time).
+    /// Request intake → batch sealed (Batcher queueing + fill time),
+    /// from the batch's mean intake.
     pub intake_to_sealed: SharedHistogram,
     /// Batch sealed → proposed (ProposalQueue wait + window gating).
     pub sealed_to_proposed: SharedHistogram,
@@ -63,7 +66,8 @@ pub(crate) struct StageMetrics {
     pub decided_to_executed: SharedHistogram,
     /// Executed → reply enqueued on the ClientIO reply queues.
     pub executed_to_reply: SharedHistogram,
-    /// Intake → reply enqueued: the end-to-end replica residence time.
+    /// Intake → reply enqueued: the mean replica residence time of the
+    /// batch's requests.
     pub intake_to_reply: SharedHistogram,
     /// One WAL append (buffered write of one decided record).
     pub wal_append: SharedHistogram,
@@ -164,6 +168,37 @@ impl StageMetrics {
     }
 }
 
+/// Running mean of the intake stamps of the requests in the Batcher's
+/// open batch. A sealed batch's intake time is the mean over its
+/// requests, so `stage.intake_to_sealed` and `stage.intake_to_reply`
+/// measure the average request of a batch rather than its oldest, and
+/// add up with the clients' mean latency.
+#[derive(Debug, Default)]
+pub(crate) struct IntakeMean {
+    sum: u128,
+    count: u64,
+}
+
+impl IntakeMean {
+    /// Adds one request's intake stamp to the open batch.
+    pub fn add(&mut self, intake_ns: u64) {
+        self.sum += u128::from(intake_ns);
+        self.count += 1;
+    }
+
+    /// Returns the mean stamp of the batch just sealed and starts the
+    /// next one empty. 0 when the batch had no stamps or all were 0
+    /// (stage metrics off).
+    pub fn take(&mut self) -> u64 {
+        let mean = match self.count {
+            0 => 0,
+            n => (self.sum / u128::from(n)) as u64,
+        };
+        *self = IntakeMean::default();
+        mean
+    }
+}
+
 /// Key a proposed batch is tracked under while consensus is in flight:
 /// its first request's id (unique — request ids enter the pipeline
 /// once; retries are deduplicated at the ClientIO cache probe).
@@ -174,6 +209,39 @@ pub(crate) fn batch_key(batch: &smr_wire::Batch) -> Option<RequestId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn intake_mean_of_one_batch() {
+        let mut open = IntakeMean::default();
+        for stamp in [100, 200, 600] {
+            open.add(stamp);
+        }
+        assert_eq!(open.take(), 300);
+        assert_eq!(open.take(), 0, "take starts the next batch empty");
+    }
+
+    #[test]
+    fn overflowing_request_opens_the_next_batch_mean() {
+        // The Batcher's order when a request overflows a sealed batch:
+        // seal the open batch, then the request starts the next sum.
+        let mut open = IntakeMean::default();
+        open.add(100);
+        open.add(300);
+        let sealed = open.take();
+        open.add(1_000);
+        assert_eq!(sealed, 200, "the overflowing request is not in it");
+        open.add(2_000);
+        assert_eq!(open.take(), 1_500);
+    }
+
+    #[test]
+    fn intake_mean_of_zero_stamps_is_zero() {
+        let mut open = IntakeMean::default();
+        for _ in 0..5 {
+            open.add(0);
+        }
+        assert_eq!(open.take(), 0);
+    }
 
     #[test]
     fn disabled_stage_metrics_record_nothing() {

@@ -1,13 +1,18 @@
-//! End-to-end tests of the evented ClientIO mode: the readiness-loop
-//! client path must be indistinguishable from the thread-per-connection
-//! default (same replies, same state), must isolate slow readers behind
-//! per-connection outbound buffering, and must tolerate large numbers of
-//! idle connections.
+//! End-to-end tests of ClientIO, the readiness-loop client path: it must
+//! return the replies a local copy of the service computes and leave the
+//! replicas converged, isolate slow readers behind per-connection
+//! outbound buffering (and drop, and count, one that passes its overflow
+//! cap), tolerate large numbers of idle connections, and forget the
+//! routes of closed connections.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smr_core::{ConcurrentKvService, EventedIoOptions, InProcessCluster, KvService, ServiceState};
+use smr_core::{
+    ConcurrentKvService, ConflictAwareService, EventedIoOptions, InProcessCluster, KvService,
+    ServiceState,
+};
+use smr_net::ClientEndpoint;
 use smr_types::{ClientId, ClusterConfig, ReplicaId, RequestId, SeqNum};
 use smr_wire::{ClientMsg, Codec, Request};
 
@@ -17,12 +22,6 @@ fn small_config(n: usize) -> ClusterConfig {
         .suspect_timeout(Duration::from_millis(200))
         .build()
         .unwrap()
-}
-
-/// Runs `ops` through a fresh cluster and returns the replies.
-fn run_workload(cluster: &InProcessCluster, ops: &[Vec<u8>]) -> Vec<Vec<u8>> {
-    let mut client = cluster.client();
-    ops.iter().map(|op| client.execute(op).unwrap()).collect()
 }
 
 fn workload() -> Vec<Vec<u8>> {
@@ -59,52 +58,45 @@ fn converged_hash(services: &[Arc<ConcurrentKvService>]) -> u64 {
 }
 
 #[test]
-fn evented_and_threaded_modes_produce_identical_state_and_replies() {
+fn replies_match_a_local_oracle_and_replicas_converge() {
     let ops = workload();
-
-    // Thread-per-connection mode (the compat default).
-    let thr_services: Vec<Arc<ConcurrentKvService>> = (0..3)
+    let services: Vec<Arc<ConcurrentKvService>> = (0..3)
         .map(|_| Arc::new(ConcurrentKvService::default()))
         .collect();
-    let thr_cluster = {
-        let services = thr_services.clone();
-        InProcessCluster::start(small_config(3), move |id: ReplicaId| {
-            Box::new(Arc::clone(&services[id.index()]))
-        })
-    };
-    let thr_replies = run_workload(&thr_cluster, &ops);
-    let thr_hash = converged_hash(&thr_services);
-    thr_cluster.shutdown();
-
-    // Evented mode: same service type, same workload, readiness-loop
-    // ClientIO with a 2-thread pool.
-    let ev_services: Vec<Arc<ConcurrentKvService>> = (0..3)
-        .map(|_| Arc::new(ConcurrentKvService::default()))
-        .collect();
-    let ev_cluster = {
-        let services = ev_services.clone();
+    let cluster = {
+        let services = services.clone();
         InProcessCluster::start_with(small_config(3), move |id, builder| {
             builder
                 .with_service(Box::new(Arc::clone(&services[id.index()])))
                 .with_evented_client_io(2, EventedIoOptions::default())
         })
     };
-    let ev_replies = run_workload(&ev_cluster, &ops);
-    let ev_hash = converged_hash(&ev_services);
-    ev_cluster.shutdown();
+    // One client issues the ops in order, so the log holds them in that
+    // order and a local copy applying them sequentially is the oracle.
+    let oracle = ConcurrentKvService::default();
+    let mut client = cluster.client();
+    for (i, op) in ops.iter().enumerate() {
+        let reply = client.execute(op).unwrap();
+        assert_eq!(reply, oracle.execute(op), "reply to op {i}");
+    }
+    let hash = converged_hash(&services);
+    cluster.shutdown();
 
-    assert_eq!(thr_replies, ev_replies, "same replies in both modes");
-    assert_eq!(thr_hash, ev_hash, "same final state in both modes");
     assert_eq!(
-        thr_services[0].entries(),
-        ev_services[0].entries(),
+        hash,
+        oracle.state_hash(),
+        "replicas hold the oracle's state"
+    );
+    assert_eq!(
+        services[0].entries(),
+        oracle.entries(),
         "bit-identical entries"
     );
 }
 
 #[test]
 fn slow_reader_does_not_stall_other_clients() {
-    // Single replica, single evented ClientIO thread: the slow reader and
+    // Single replica, single ClientIO thread: the slow reader and
     // the healthy client share one loop, so any blocking send to the slow
     // reader would stall the healthy client's replies.
     let cluster = InProcessCluster::start_with(small_config(1), |_, builder| {
@@ -123,7 +115,7 @@ fn slow_reader_does_not_stall_other_clients() {
 
     // A raw connection that sends requests but never reads replies. The
     // in-memory outbound queue holds 64 frames; past that, `try_send`
-    // refuses and the evented loop must park replies in the connection's
+    // refuses and the loop must park replies in the connection's
     // overflow buffer instead of blocking.
     const SLOW_REQUESTS: u64 = 120;
     let mut slow = cluster
@@ -135,7 +127,6 @@ fn slow_reader_does_not_stall_other_clients() {
             RequestId::new(ClientId(7777), SeqNum(seq)),
             KvService::put(b"slow", &seq.to_le_bytes()),
         );
-        use smr_net::ClientEndpoint;
         slow.send(ClientMsg::Request(request).encode_to_vec())
             .expect("slow client send");
     }
@@ -153,7 +144,6 @@ fn slow_reader_does_not_stall_other_clients() {
     let mut got = 0u64;
     let deadline = Instant::now() + Duration::from_secs(10);
     while got < SLOW_REQUESTS {
-        use smr_net::ClientEndpoint;
         match slow.recv_timeout(Duration::from_millis(500)) {
             Ok(Some(frame)) => {
                 if let Ok(ClientMsg::Reply(_)) = ClientMsg::decode(&frame) {
@@ -173,9 +163,9 @@ fn slow_reader_does_not_stall_other_clients() {
 }
 
 #[test]
-fn threaded_client_io_drops_a_reader_that_stopped_instead_of_blocking() {
-    // One replica, one thread-per-connection ClientIO thread: the client
-    // that stops reading and the healthy client share it.
+fn a_reader_that_stopped_blocks_neither_clients_nor_shutdown() {
+    // One replica, one ClientIO thread: the client that stops reading
+    // and the healthy client share it.
     let config = ClusterConfig::builder(1)
         .client_io_threads(1)
         .build()
@@ -197,7 +187,6 @@ fn threaded_client_io_drops_a_reader_that_stopped_instead_of_blocking() {
             RequestId::new(ClientId(7777), SeqNum(seq)),
             KvService::put(b"stalled", &seq.to_le_bytes()),
         );
-        use smr_net::ClientEndpoint;
         stalled
             .send(ClientMsg::Request(request).encode_to_vec())
             .expect("stalled client send");
@@ -207,8 +196,9 @@ fn threaded_client_io_drops_a_reader_that_stopped_instead_of_blocking() {
             .execute(&KvService::put(b"healthy", &i.to_le_bytes()))
             .expect("healthy client must not be stalled by the stopped reader");
     }
-    // The stopped reader stays connected (never dropped) through the
-    // shutdown, which must still finish promptly.
+    // The stopped reader stays connected (its overflow is far below the
+    // default cap) through the shutdown, which must still finish
+    // promptly.
     let started = Instant::now();
     cluster.shutdown();
     let took = started.elapsed();
@@ -221,7 +211,7 @@ fn many_idle_connections_do_not_stall_active_clients() {
     const IDLE_CONNS: usize = 500;
     const OPS: u32 = 60;
 
-    fn start_evented() -> InProcessCluster {
+    fn start() -> InProcessCluster {
         InProcessCluster::start_with(small_config(1), |_, builder| {
             builder
                 .with_service(Box::new(KvService::new()))
@@ -241,13 +231,13 @@ fn many_idle_connections_do_not_stall_active_clients() {
     }
 
     // Baseline: no idle connections.
-    let cluster = start_evented();
+    let cluster = start();
     let baseline = timed_ops(&cluster);
     cluster.shutdown();
 
     // Same cluster shape with 500 connected-but-silent clients adopted
-    // into the evented loops before the workload starts.
-    let cluster = start_evented();
+    // into the ClientIO loops before the workload starts.
+    let cluster = start();
     let idle: Vec<_> = (0..IDLE_CONNS)
         .map(|_| cluster.hub().connect_client(ReplicaId(0)).unwrap())
         .collect();
@@ -268,9 +258,10 @@ fn many_idle_connections_do_not_stall_active_clients() {
 /// Opens and closes 200 connections, each sending one request under its
 /// own client id, and checks that the replica's client table ends empty:
 /// a closed connection takes its routes with it.
-fn closed_connections_leave_no_routes(cluster: InProcessCluster) {
-    use smr_net::ClientEndpoint;
+#[test]
+fn client_io_forgets_routes_of_closed_connections() {
     const CONNS: u64 = 200;
+    let cluster = InProcessCluster::start(small_config(1), |_| Box::new(KvService::new()));
     let mut client = cluster.client();
     client
         .execute(&KvService::put(b"warmup", b"1"))
@@ -309,17 +300,70 @@ fn closed_connections_leave_no_routes(cluster: InProcessCluster) {
 }
 
 #[test]
-fn threaded_client_io_forgets_routes_of_closed_connections() {
-    let cluster = InProcessCluster::start(small_config(1), |_| Box::new(KvService::new()));
-    closed_connections_leave_no_routes(cluster);
-}
-
-#[test]
-fn evented_client_io_forgets_routes_of_closed_connections() {
+fn reader_past_its_overflow_cap_is_dropped_and_counted() {
+    // One replica, one ClientIO thread, and a cap of 4 overflow frames.
     let cluster = InProcessCluster::start_with(small_config(1), |_, builder| {
         builder
             .with_service(Box::new(KvService::new()))
-            .with_evented_client_io(2, EventedIoOptions::default())
+            .with_evented_client_io(
+                1,
+                EventedIoOptions {
+                    max_overflow_frames: 4,
+                    ..Default::default()
+                },
+            )
     });
-    closed_connections_leave_no_routes(cluster);
+    let mut client = cluster.client();
+    client
+        .execute(&KvService::put(b"warmup", b"1"))
+        .expect("warm-up op");
+
+    // 120 replies, and no reads: the connection's 64-frame outbound
+    // queue fills, then its overflow passes the cap.
+    const STALLED: ClientId = ClientId(7777);
+    let mut stalled = cluster
+        .hub()
+        .connect_client(ReplicaId(0))
+        .expect("connect raw client");
+    for seq in 0..120u64 {
+        let request = Request::new(
+            RequestId::new(STALLED, SeqNum(seq)),
+            KvService::put(b"stalled", &seq.to_le_bytes()),
+        );
+        stalled
+            .send(ClientMsg::Request(request).encode_to_vec())
+            .expect("stalled client send");
+    }
+    for i in 0..40u32 {
+        client
+            .execute(&KvService::put(b"healthy", &i.to_le_bytes()))
+            .expect("healthy client must not be stalled by the dropped reader");
+    }
+
+    // The replica closed the stalled connection: what it had queued
+    // drains, then the connection reads as closed.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stalled.recv_timeout(Duration::from_millis(100)).is_ok() {
+        assert!(
+            Instant::now() < deadline,
+            "stalled connection was never closed"
+        );
+    }
+    let replica = cluster.replica(ReplicaId(0));
+    assert_eq!(
+        replica
+            .metrics_snapshot()
+            .counter("clientio.overflow_drops"),
+        Some(1),
+        "one connection dropped for passing its overflow cap"
+    );
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while replica.shared().client_route(STALLED).is_some() {
+        assert!(
+            Instant::now() < deadline,
+            "the dropped connection's route outlived it"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    cluster.shutdown();
 }

@@ -53,7 +53,7 @@ pub trait ClientConn: Send + 'static {
 
     /// Raw file descriptor for readiness registration, when the transport
     /// is backed by one (TCP). `None` means the connection must be polled
-    /// (in-memory transport) — the evented loop scans such connections on
+    /// (in-memory transport) — the ClientIO loop scans such connections on
     /// its tick instead of registering them with epoll.
     fn raw_fd(&self) -> Option<i32> {
         None
@@ -108,7 +108,7 @@ pub trait ClientListener: Send + 'static {
     fn accept_timeout(&self, timeout: Duration) -> Result<Option<Box<dyn ClientConn>>, NetError>;
 
     /// Raw file descriptor of the listening socket, when there is one, so
-    /// an evented acceptor can park on readiness instead of sleep-polling.
+    /// the acceptor can park on readiness instead of sleep-polling.
     fn raw_fd(&self) -> Option<i32> {
         None
     }

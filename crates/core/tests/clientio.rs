@@ -258,10 +258,8 @@ fn many_idle_connections_do_not_stall_active_clients() {
 /// Opens and closes 200 connections, each sending one request under its
 /// own client id, and checks that the replica's client table ends empty:
 /// a closed connection takes its routes with it.
-#[test]
-fn client_io_forgets_routes_of_closed_connections() {
+fn closed_connections_leave_no_routes(cluster: InProcessCluster) {
     const CONNS: u64 = 200;
-    let cluster = InProcessCluster::start(small_config(1), |_| Box::new(KvService::new()));
     let mut client = cluster.client();
     client
         .execute(&KvService::put(b"warmup", b"1"))
@@ -297,6 +295,28 @@ fn client_io_forgets_routes_of_closed_connections() {
         std::thread::sleep(Duration::from_millis(10));
     }
     cluster.shutdown();
+}
+
+// There is one ClientIO loop. The `threaded_`/`evented_` test pairs
+// keep the names of the two loops it replaced and cover its two ways of
+// being configured: `threaded_` starts from the defaults (the pool has
+// `ClusterConfig::client_io_threads` threads), `evented_` sets the pool
+// and its options through `with_evented_client_io`.
+
+#[test]
+fn threaded_client_io_forgets_routes_of_closed_connections() {
+    let cluster = InProcessCluster::start(small_config(1), |_| Box::new(KvService::new()));
+    closed_connections_leave_no_routes(cluster);
+}
+
+#[test]
+fn evented_client_io_forgets_routes_of_closed_connections() {
+    let cluster = InProcessCluster::start_with(small_config(1), |_, builder| {
+        builder
+            .with_service(Box::new(KvService::new()))
+            .with_evented_client_io(2, EventedIoOptions::default())
+    });
+    closed_connections_leave_no_routes(cluster);
 }
 
 #[test]

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use smr_core::{InProcessCluster, KvService, NullService, SequencerService};
+use smr_core::{EventedIoOptions, InProcessCluster, KvService, NullService, SequencerService};
 use smr_net::ClientEndpoint;
 use smr_types::{ClientId, ClusterConfig, ReplicaId, RequestId, SeqNum, View};
 use smr_wire::{ClientMsg, Codec, Request};
@@ -123,13 +123,9 @@ fn leader_crash_elects_new_leader_and_keeps_serving() {
 /// checks the failover budget: a request sent after the cut is answered
 /// by the new leader within 300 ms, a connection whose request the old
 /// leader admitted is redirected without asking again, and healing
-/// causes no second view change. Default failure-detector settings:
-/// 20 ms heartbeats, 100 ms floor.
-#[test]
-fn isolated_leader_fails_over_within_300ms() {
-    let cluster = Arc::new(InProcessCluster::start(ClusterConfig::new(3), |_| {
-        Box::new(KvService::new())
-    }));
+/// causes no second view change.
+fn isolated_leader_fails_over(cluster: InProcessCluster) {
+    let cluster = Arc::new(cluster);
     cluster
         .client()
         .execute(&KvService::put(b"warm", b"up"))
@@ -214,6 +210,30 @@ fn isolated_leader_fails_over_within_300ms() {
     Arc::into_inner(cluster)
         .expect("load clients done")
         .shutdown();
+}
+
+// Default failure-detector settings: 20 ms heartbeats, 100 ms floor.
+// There is one ClientIO loop; the pair keeps the names of the two loops
+// it replaced and covers its two ways of being configured: from the
+// defaults, and through `with_evented_client_io`.
+
+#[test]
+fn isolated_leader_fails_over_within_300ms_threaded_client_io() {
+    isolated_leader_fails_over(InProcessCluster::start(ClusterConfig::new(3), |_| {
+        Box::new(KvService::new())
+    }));
+}
+
+#[test]
+fn isolated_leader_fails_over_within_300ms_evented_client_io() {
+    isolated_leader_fails_over(InProcessCluster::start_with(
+        ClusterConfig::new(3),
+        |_, builder| {
+            builder
+                .with_service(Box::new(KvService::new()))
+                .with_evented_client_io(2, EventedIoOptions::default())
+        },
+    ));
 }
 
 #[test]

@@ -16,7 +16,13 @@ use std::time::{Duration, Instant};
 use smr_core::{NullService, ReplicaBuilder, SmrClient};
 use smr_net::memory::MemoryHub;
 use smr_net::tcp::{TcpClientEndpoint, TcpClientListener};
-use smr_types::{ClientId, ClusterConfig, ReplicaId};
+use smr_types::{BatchPolicy, ClientId, ClusterConfig, ReplicaId};
+
+/// The batch delay of every sweep cell. At the 5 ms default each
+/// closed-loop client waits out the Batcher timer on every request, so
+/// every cell would read the same timer-bound rate whatever the pool
+/// size or idle-connection count; 50 µs leaves ClientIO on the path.
+const CELL_BATCH_TIMEOUT: Duration = Duration::from_micros(50);
 
 /// One cell of the connection-scaling sweep.
 #[derive(Debug, Clone, Copy)]
@@ -47,6 +53,10 @@ pub fn clientio_tcp_run(cell: ClientIoCell) -> f64 {
     let config = ClusterConfig::builder(1)
         .client_io_threads(cell.pool)
         .reply_queue_capacity(cell.reply_capacity)
+        .batch(BatchPolicy {
+            timeout: CELL_BATCH_TIMEOUT,
+            ..BatchPolicy::default()
+        })
         .build()
         .expect("valid config");
     let hub = MemoryHub::new(1, 0xF1609);

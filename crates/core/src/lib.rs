@@ -35,9 +35,10 @@
 //!   run inside the core on the Protocol thread's periodic tick.
 //! * **ServiceManager** (§V-D): the "Replica" thread executing decided
 //!   batches against the [`Service`] and routing replies through the
-//!   sharded [`ShardedReplyCache`].
+//!   sharded [`ShardedReplyCache`]. One loop serves every execution mode
+//!   and carries the WAL and snapshot cadence when durability is on.
 //! * **Parallel execution** (beyond the paper): an opt-in
-//!   [`ParallelExecutor`] behind the ServiceManager that runs
+//!   [`ParallelExecutor`] behind the same ServiceManager loop that runs
 //!   non-conflicting decided commands concurrently on a worker pool,
 //!   scheduling by the per-key footprints a [`ConflictAwareService`]
 //!   declares. Enable it per replica with

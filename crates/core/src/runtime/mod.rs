@@ -26,44 +26,13 @@ use smr_wire::{Batch, ProtocolMsg, Reply, Request};
 
 use stage::{BatchStamp, StageClock, StageMetrics};
 
-use crate::reply_cache::{ExecuteOutcome, ReplyCache, ShardedReplyCache};
-use crate::service::{
-    ConflictAwareService, RecoverableService, Service, SharedOps, SharedSnapshotOps,
-    SharedSnapshotService,
-};
+use crate::reply_cache::{ReplyCache, ShardedReplyCache};
+use crate::service::{ConflictAwareService, RecoverableService, Service, SharedSnapshotService};
 use crate::shared::SharedState;
 
 pub use client_io::EventedIoOptions;
 pub(crate) use client_io::IoWaker;
-pub(crate) use service_manager::SnapshotRig;
-
-/// How the ServiceManager executes decided commands.
-enum ServiceMode {
-    /// One thread, strict log order (the paper's architecture; default).
-    Sequential(Box<dyn Service>),
-    /// One thread, strict log order, with snapshot/restore — unlocks
-    /// durability, snapshot-driven compaction, and snapshot transfer.
-    SequentialSnapshot(Box<dyn RecoverableService>),
-    /// Dependency-aware parallel execution on a worker pool (see
-    /// [`crate::ParallelExecutor`]). `snapshot` carries the lifecycle
-    /// operations when the service supports them.
-    Parallel {
-        service: Arc<dyn ConflictAwareService>,
-        workers: usize,
-        snapshot: Option<Box<dyn SharedSnapshotOps>>,
-    },
-}
-
-impl ServiceMode {
-    /// Whether this mode can produce and restore snapshots.
-    fn snapshot_capable(&self) -> bool {
-        match self {
-            ServiceMode::Sequential(_) => false,
-            ServiceMode::SequentialSnapshot(_) => true,
-            ServiceMode::Parallel { snapshot, .. } => snapshot.is_some(),
-        }
-    }
-}
+use service_manager::{ServiceMode, SnapshotRig};
 
 /// One unit of work on the DecisionQueue.
 #[derive(Debug)]
@@ -286,11 +255,11 @@ impl ReplicaBuilder {
     where
         S: ConflictAwareService + SharedSnapshotService + 'static,
     {
-        let ops: Box<dyn SharedSnapshotOps> = Box::new(SharedOps(Arc::clone(&service)));
+        let snapshot: Arc<dyn SharedSnapshotService + Send> = service.clone();
         self.service = Some(ServiceMode::Parallel {
             service,
             workers: workers.max(1),
-            snapshot: Some(ops),
+            snapshot: Some(snapshot),
         });
         self
     }
@@ -444,20 +413,16 @@ impl ReplicaBuilder {
 
         // Crash recovery, strictly before any thread spawns: the service
         // is rebuilt from disk while it is still exclusively ours.
-        let mut rig = None;
-        let mut recovered_blob: Option<Arc<SnapshotBlob>> = None;
-        if snapshot_capable {
-            let mut r = SnapshotRig {
-                storage: None,
-                watermark: Slot::ZERO,
-                last_snapshot: Slot::ZERO,
-                every: self.snapshot_every,
-            };
-            if let Some(dir) = &self.durability {
-                recovered_blob = recover(dir, &mut service, &cache, &mut r)?;
-            }
-            rig = Some(r);
-        }
+        let mut rig = SnapshotRig {
+            storage: None,
+            watermark: Slot::ZERO,
+            last_snapshot: Slot::ZERO,
+            every: self.snapshot_every,
+        };
+        let recovered_blob = match &self.durability {
+            Some(dir) => recover(dir, &mut service, &*cache, &mut rig)?,
+            None => None,
+        };
 
         let config = self.config;
         let me = self.me;
@@ -582,36 +547,7 @@ impl ReplicaBuilder {
             let ctx2 = Arc::clone(&ctx);
             threads.push(spawn(
                 "Replica".into(),
-                match service {
-                    ServiceMode::Sequential(service) => {
-                        Box::new(move || service_manager::run_service_manager(&ctx2, service))
-                    }
-                    ServiceMode::SequentialSnapshot(service) => {
-                        let rig = rig.take().expect("rig exists for snapshot-capable mode");
-                        Box::new(move || {
-                            service_manager::run_durable_service_manager(&ctx2, service, rig)
-                        })
-                    }
-                    ServiceMode::Parallel {
-                        service,
-                        workers,
-                        snapshot: Some(ops),
-                    } => {
-                        let rig = rig.take().expect("rig exists for snapshot-capable mode");
-                        Box::new(move || {
-                            service_manager::run_durable_parallel_service_manager(
-                                &ctx2, service, workers, ops, rig,
-                            )
-                        })
-                    }
-                    ServiceMode::Parallel {
-                        service,
-                        workers,
-                        snapshot: None,
-                    } => Box::new(move || {
-                        service_manager::run_parallel_service_manager(&ctx2, service, workers)
-                    }),
-                },
+                Box::new(move || service_manager::run_service_manager(&ctx2, service, rig)),
             ));
         }
 
@@ -683,71 +619,34 @@ fn run_metrics_dump(ctx: &Ctx, path: &std::path::Path, period: Duration) {
 fn recover(
     dir: &std::path::Path,
     service: &mut ServiceMode,
-    cache: &Arc<dyn ReplyCache>,
+    cache: &dyn ReplyCache,
     rig: &mut SnapshotRig,
 ) -> Result<Option<Arc<SnapshotBlob>>, SmrError> {
     let bad = |e: String| ConfigError::invalid(format!("durability: {e}"));
     let (mut storage, recovered) = Storage::open(dir).map_err(|e| bad(e.to_string()))?;
     let mut blob = None;
     if let Some(snap) = recovered.snapshot {
-        match service {
-            ServiceMode::SequentialSnapshot(s) => {
-                s.restore(&snap.state).map_err(|e| bad(e.to_string()))?;
-                if s.state_hash() != snap.state_hash {
-                    return Err(bad("snapshot hash mismatch after restore".into()).into());
-                }
-            }
-            ServiceMode::Parallel {
-                snapshot: Some(ops),
-                ..
-            } => {
-                ops.restore(&snap.state).map_err(|e| bad(e.to_string()))?;
-                if ops.state_hash() != snap.state_hash {
-                    return Err(bad("snapshot hash mismatch after restore".into()).into());
-                }
-            }
-            _ => unreachable!("durability requires a snapshot-capable service"),
-        }
+        service.restore(&snap).map_err(bad)?;
         rig.watermark = snap.applied_upto;
         rig.last_snapshot = snap.applied_upto;
         blob = Some(Arc::new(snap));
     }
+    let mut replies = Vec::new();
     for (slot, batch) in recovered.tail {
-        for request in &batch.requests {
-            if let ExecuteOutcome::Fresh = cache.check_execute(request.id) {
-                let reply = match service {
-                    ServiceMode::SequentialSnapshot(s) => s.execute(&request.payload),
-                    ServiceMode::Parallel { service, .. } => service.execute(&request.payload),
-                    ServiceMode::Sequential(_) => {
-                        unreachable!("durability requires a snapshot-capable service")
-                    }
-                };
-                cache.record(request.id, reply);
-            }
-        }
+        service.execute_batch(cache, batch, &mut replies);
+        replies.clear();
         rig.watermark = slot.next();
     }
     if rig.watermark > rig.last_snapshot {
         // Replay advanced past the snapshot on disk: checkpoint here so
         // recovery work is not repeated (and the old log is pruned).
-        let (state_hash, state) = match service {
-            ServiceMode::SequentialSnapshot(s) => (s.state_hash(), s.snapshot()),
-            ServiceMode::Parallel {
-                snapshot: Some(ops),
-                ..
-            } => (ops.state_hash(), ops.snapshot()),
-            _ => unreachable!("durability requires a snapshot-capable service"),
-        };
-        let fresh = SnapshotBlob {
-            applied_upto: rig.watermark,
-            state_hash,
-            state,
-        };
-        storage
-            .install_snapshot(&fresh)
-            .map_err(|e| bad(e.to_string()))?;
-        rig.last_snapshot = rig.watermark;
-        blob = Some(Arc::new(fresh));
+        if let Some(fresh) = service.snapshot(rig.watermark) {
+            storage
+                .install_snapshot(&fresh)
+                .map_err(|e| bad(e.to_string()))?;
+            rig.last_snapshot = rig.watermark;
+            blob = Some(Arc::new(fresh));
+        }
     }
     rig.storage = Some(storage);
     Ok(blob)

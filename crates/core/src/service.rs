@@ -68,11 +68,16 @@ pub trait SnapshotService: ServiceState {
 ///
 /// Every `Arc<impl SharedSnapshotService>` is automatically a
 /// [`SnapshotService`] (see the blanket impl), so one implementation
-/// serves both execution modes without duplicate impls.
+/// serves both execution modes without duplicate impls. In parallel mode
+/// the runtime keeps a second `Arc` handle on the service as
+/// `Arc<dyn SharedSnapshotService + Send>` next to the executor's
+/// `Arc<dyn ConflictAwareService>`.
 ///
 /// Callers must quiesce execution (no in-flight commands) before calling
+/// [`SharedSnapshotService::snapshot`] or
 /// [`SharedSnapshotService::restore_shared`]; implementations are not
-/// required to make restore atomic with respect to concurrent execution.
+/// required to make either atomic with respect to concurrent execution.
+/// The ServiceManager drains its executor before both.
 pub trait SharedSnapshotService: ServiceState + Sync {
     /// Serializes the full service state.
     fn snapshot(&self) -> Vec<u8>;
@@ -95,37 +100,6 @@ impl<S: Service + SnapshotService> RecoverableService for S {}
 impl<S: ServiceState + ?Sized> ServiceState for Arc<S> {
     fn state_hash(&self) -> u64 {
         (**self).state_hash()
-    }
-}
-
-/// Object-safe snapshot operations over a shared service, used by the
-/// parallel runtime (which executes through a separate
-/// `Arc<dyn ConflictAwareService>` handle and cannot upcast it on this
-/// toolchain).
-pub(crate) trait SharedSnapshotOps: Send + Sync {
-    /// Serializes the full service state.
-    fn snapshot(&self) -> Vec<u8>;
-    /// Restores the service from snapshot bytes (caller must quiesce).
-    fn restore(&self, bytes: &[u8]) -> Result<(), SnapshotError>;
-    /// The service's state digest.
-    fn state_hash(&self) -> u64;
-}
-
-/// The one implementation of [`SharedSnapshotOps`]: a second `Arc` handle
-/// on the same service instance the executor runs.
-pub(crate) struct SharedOps<S: ?Sized>(pub Arc<S>);
-
-impl<S: SharedSnapshotService + Send + Sync + ?Sized> SharedSnapshotOps for SharedOps<S> {
-    fn snapshot(&self) -> Vec<u8> {
-        SharedSnapshotService::snapshot(&*self.0)
-    }
-
-    fn restore(&self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        self.0.restore_shared(bytes)
-    }
-
-    fn state_hash(&self) -> u64 {
-        self.0.state_hash()
     }
 }
 

@@ -119,9 +119,21 @@ fn killed_replica_recovers_from_disk() {
 /// A replica isolated long enough for its peers to compact the slots it
 /// missed catches up by snapshot transfer: the leader's snapshot
 /// watermark passes the laggard's position, the compacted range cannot
-/// be replayed, and the cluster still converges.
+/// be replayed, and the cluster still converges. Sequential execution.
 #[test]
 fn lagging_replica_catches_up_via_snapshot_transfer() {
+    lagging_replica_catches_up(false);
+}
+
+/// [`lagging_replica_catches_up_via_snapshot_transfer`] in parallel
+/// execution mode: the ServiceManager must drain its executor to take
+/// the snapshots that compaction and the transfer depend on.
+#[test]
+fn lagging_parallel_replica_catches_up_via_snapshot_transfer() {
+    lagging_replica_catches_up(true);
+}
+
+fn lagging_replica_catches_up(parallel: bool) {
     // Snapshot-capable but NOT durable: snapshots live in memory only,
     // serving compaction and peer transfer.
     let services: Vec<Arc<ConcurrentKvService>> = (0..3)
@@ -130,8 +142,13 @@ fn lagging_replica_catches_up_via_snapshot_transfer() {
     let cluster = {
         let services = services.clone();
         InProcessCluster::start_with(config(3), move |id, b| {
-            b.with_snapshot_service(Box::new(Arc::clone(&services[id.index()])))
-                .with_snapshot_every(8)
+            let service = Arc::clone(&services[id.index()]);
+            if parallel {
+                b.with_parallel_snapshot_service(service, 2)
+            } else {
+                b.with_snapshot_service(Box::new(service))
+            }
+            .with_snapshot_every(8)
         })
     };
 
@@ -180,8 +197,9 @@ fn lagging_replica_catches_up_via_snapshot_transfer() {
 /// A crash that tears the last WAL record (partial write) must not keep
 /// the replica down: the torn tail is truncated on open, the intact
 /// prefix is replayed, and the missing suffix comes back from the
-/// cluster. Runs in parallel execution mode to cover the durable
-/// parallel ServiceManager.
+/// cluster. Runs in parallel execution mode, and the replica has
+/// snapshotted before it is killed, so its restart covers the parallel
+/// restore-then-replay branch of recovery.
 #[test]
 fn torn_wal_tail_recovers_and_rejoins() {
     let dirs: Vec<PathBuf> = (0..3).map(|i| temp_dir(&format!("torn-{i}"))).collect();
@@ -204,6 +222,14 @@ fn torn_wal_tail_recovers_and_rejoins() {
             .execute(&KvService::put(format!("k{i}").as_bytes(), b"v"))
             .unwrap();
     }
+    // Replica 2 snapshotted before the crash, so its restart restores a
+    // snapshot and then replays the tail behind it.
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            cluster.replica(ReplicaId(2)).snapshot_watermark() > Slot::ZERO
+        }),
+        "replica 2 took a snapshot before the crash"
+    );
     cluster.stop_replica(ReplicaId(2));
 
     // Tear the newest WAL segment: append garbage, simulating a record

@@ -6,11 +6,11 @@
 //!
 //! ```text
 //! ClientIO-0..k ──RequestQueue──▶ Batcher ──ProposalQueue──▶ Protocol
-//!      ▲                                                       │ ▲
-//!      │ per-thread reply queues                               │ │ DispatcherQueue
-//! ServiceManager ("Replica" thread) ◀──DecisionQueue───────────┘ │
-//!                                                                │
-//! ReplicaIORcv-p ────────────────────────────────────────────────┘
+//!      ▲                             │                         │ ▲
+//!      │ per-thread reply queues     └─ProposalReady─────────┐ │ │ DispatcherQueue
+//! ServiceManager ("Replica" thread) ◀──DecisionQueue─────────┼─┘ │ (its one wait)
+//!      └─SnapshotPublished───────────────────────────────────┤   │
+//! ReplicaIORcv-p ──Message───────────────────────────────────┴───┘
 //! ReplicaIOSnd-p ◀──SendQueue-p── Protocol
 //! Protocol        (Tick every heartbeat/2: failure detection — §V-C3,
 //!                  retransmission — §V-C4)

@@ -2,28 +2,35 @@
 //! which also runs failure detection (§V-C3) and retransmission (§V-C4).
 
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+use smr_metrics::ThreadHandle;
 use smr_paxos::{Action, BatchBuilder, Event, PaxosReplica};
 use smr_queue::PopError;
 use smr_types::{RequestId, Slot};
 use smr_wire::{Batch, ProtocolMsg, Request};
 
 use super::stage::{batch_key, BatchStamp, IntakeMean, StageClock};
-use super::{Ctx, Decision};
+use super::{Ctx, Decision, Input};
 
 /// Most requests the Batcher moves out of the RequestQueue per lock
 /// acquisition.
 const REQUEST_BURST: usize = 1024;
 
-/// Most events the Protocol thread drains from the DispatcherQueue
+/// Most inputs the Protocol thread drains from the DispatcherQueue
 /// between pipelining-window checks.
 const EVENT_BURST: usize = 256;
 
 /// The Batcher thread (§V-C1): drains the RequestQueue into batches
 /// according to the batching policy and feeds the ProposalQueue. Bursts
 /// move under one RequestQueue lock acquisition, and every batch they
-/// complete is handed to the ProposalQueue in one bulk push.
+/// complete is handed to the ProposalQueue in one bulk push, followed by
+/// a wakeup of the Protocol thread ([`announce_proposal`]).
+///
+/// With a batch open the thread waits for requests until the batch's
+/// deadline; with none open nothing can time out, so it waits for the
+/// next request, and shutdown closes the RequestQueue to end that wait.
 ///
 /// Each request arrives paired with its intake stamp; the mean of a
 /// batch's stamps becomes the batch's intake time, and sealing records
@@ -36,16 +43,22 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
     // Intake stamps of the batch currently open in the builder.
     let mut open_intake = IntakeMean::default();
     loop {
-        let now = ctx.shared.now_ns();
-        // Wait at most until the open batch's deadline.
-        let wait = match builder.next_deadline() {
-            Some(deadline) => Duration::from_nanos(deadline.saturating_sub(now).max(1)),
-            None => Duration::from_millis(10),
+        let popped = match builder.next_deadline() {
+            Some(deadline) => {
+                let wait = deadline.saturating_sub(ctx.shared.now_ns()).max(1);
+                ctx.request_q.pop_wait_all_with(
+                    &mut burst,
+                    REQUEST_BURST,
+                    Duration::from_nanos(wait),
+                    &handle,
+                )
+            }
+            None => ctx.request_q.pop_with(&handle).map(|first| {
+                burst.push(first);
+                1 + ctx.request_q.try_pop_all(&mut burst).unwrap_or(0)
+            }),
         };
-        match ctx
-            .request_q
-            .pop_wait_all_with(&mut burst, REQUEST_BURST, wait, &handle)
-        {
+        match popped {
             Ok(_) => {
                 let now = ctx.shared.now_ns();
                 for (req, intake_ns) in burst.drain(..) {
@@ -76,6 +89,7 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
                         .proposal_q
                         .push_many_with(completed.drain(..), &handle)
                         .is_err()
+                        || announce_proposal(ctx, &handle).is_err()
                     {
                         return;
                     }
@@ -89,7 +103,9 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
                         sealed_ns: now,
                     };
                     ctx.stage.record_sealed(stamp);
-                    if ctx.proposal_q.push_with((batch, stamp), &handle).is_err() {
+                    if ctx.proposal_q.push_with((batch, stamp), &handle).is_err()
+                        || announce_proposal(ctx, &handle).is_err()
+                    {
                         return;
                     }
                 }
@@ -97,6 +113,32 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
             Err(PopError::Closed) => return,
         }
     }
+}
+
+/// Wakes the Protocol thread after the Batcher pushed to the
+/// ProposalQueue, keeping at most one [`Input::ProposalReady`] queued.
+///
+/// No wakeup is lost. The Batcher sets `proposal_ready` *after* its
+/// push; the Protocol thread clears it when it handles the
+/// `ProposalReady`, and drains the ProposalQueue *after* that clear.
+/// Both are `SeqCst` read-modify-writes of the flag. If the swap below
+/// reads `false`, it queues a fresh `ProposalReady`. If it reads `true`,
+/// the `ProposalReady` queued by an earlier swap is not yet handled: its
+/// clear comes after this swap in the flag's order, reads this swap's
+/// write, and so the drain that follows the clear sees the batch pushed
+/// before it. A batch the drain leaves behind because the pipelining
+/// window is closed waits for the event that reopens the window, which
+/// every pass of the Protocol loop follows with a drain.
+///
+/// The push may block on a full DispatcherQueue, which only the Protocol
+/// thread drains, and the Protocol thread never waits for the Batcher.
+fn announce_proposal(ctx: &Ctx, handle: &ThreadHandle) -> Result<(), ()> {
+    if ctx.proposal_ready.swap(true, Ordering::SeqCst) {
+        return Ok(());
+    }
+    ctx.dispatcher_q
+        .push_with(Input::ProposalReady, handle)
+        .map_err(|_| ())
 }
 
 /// The Protocol thread (§V-C2): the single-threaded event loop around the
@@ -108,15 +150,117 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
 /// [`Event::Tick`], on which the core resends overdue Propose and
 /// Prepare messages, heartbeats idle links, suspects a silent leader and
 /// re-checks its own quorum.
-/// The loop still parks at most 1 ms on the DispatcherQueue, because
-/// nothing else wakes it when the Batcher hands over a proposal.
+///
+/// Its only wait is the DispatcherQueue pop, bounded by the next tick.
+/// Everything that has work for it pushes there: the ReplicaIO receivers
+/// (peer messages), the Batcher ([`Input::ProposalReady`]) and the
+/// ServiceManager ([`Input::SnapshotPublished`]). Shutdown closes the
+/// queue, which ends the wait at once.
 pub(crate) fn run_protocol(ctx: &Ctx) {
     let handle = ctx.metrics.register_thread("Protocol");
+    // Every way out of the loop is shutdown.
+    let _ = protocol_loop(ctx, &handle);
+}
+
+/// The Protocol thread's loop. Returns `Err(())` once the replica shuts
+/// down, and never otherwise.
+fn protocol_loop(ctx: &Ctx, handle: &ThreadHandle) -> Result<(), ()> {
     let mut core = PaxosReplica::new(ctx.me, ctx.config.clone());
     core.set_compaction(ctx.compaction);
-    let mut actions = Vec::new();
-    let mut deliveries: Vec<Decision> = Vec::new();
-    let mut events: Vec<Event> = Vec::new();
+    let mut state = ProtocolState {
+        core,
+        actions: Vec::new(),
+        deliveries: Vec::new(),
+        pending_clocks: HashMap::new(),
+        seen_watermark: Slot::ZERO,
+    };
+    let mut inputs: Vec<Input> = Vec::new();
+    state.handle(ctx, Event::Init)?;
+    // A snapshot recovered from disk is published before this thread
+    // starts: fast-forward past it.
+    state.note_snapshot(ctx);
+    let tick_every = ctx.config.heartbeat_interval() / 2;
+    let mut next_tick = Instant::now() + tick_every;
+    loop {
+        if ctx.is_shutdown() {
+            return Err(());
+        }
+        // Pull proposals whenever the pipelining window has room. The
+        // Batcher prepares batches concurrently (§V-C1), so starting a new
+        // ballot is one queue pop, not a batch construction. This stays a
+        // per-item pop on purpose: the window check gates every proposal.
+        while state.core.window_open() {
+            match ctx.proposal_q.try_pop() {
+                Ok((batch, stamp)) => {
+                    if ctx.stage.enabled {
+                        let clock = ctx.stage.record_proposed(stamp, ctx.shared.now_ns());
+                        if let Some(key) = batch_key(&batch) {
+                            // window_open() held above, so handle() will
+                            // propose this batch immediately into
+                            // exactly next_slot() — tag the entry with
+                            // it so the watermark sweep can tell which
+                            // proposals a snapshot has overtaken.
+                            let slot = state.core.next_slot();
+                            state.pending_clocks.insert(key, (slot, clock));
+                        }
+                    }
+                    state.handle(ctx, Event::Proposal(batch))?;
+                    publish(ctx, &state.core);
+                }
+                Err(PopError::Empty) => break,
+                Err(PopError::Closed) => return Err(()),
+            }
+        }
+        // Wait for input until the next tick is due, then drain it in
+        // bulk: one lock acquisition moves the whole burst.
+        let wait = next_tick.saturating_duration_since(Instant::now());
+        match ctx
+            .dispatcher_q
+            .pop_wait_all_with(&mut inputs, EVENT_BURST, wait, handle)
+        {
+            Ok(_) => {
+                for input in inputs.drain(..) {
+                    match input {
+                        // A service that cannot restore a snapshot must
+                        // not install one: drop peer snapshots on the
+                        // floor and keep catching up slot by slot.
+                        Input::Message {
+                            msg: ProtocolMsg::Snapshot { .. },
+                            ..
+                        } if !ctx.snapshot_capable => {}
+                        Input::Message { from, msg } => {
+                            state.handle(ctx, Event::Message { from, msg })?;
+                        }
+                        // The drain at the top of the next pass follows
+                        // this clear (see `announce_proposal`).
+                        Input::ProposalReady => {
+                            ctx.proposal_ready.swap(false, Ordering::SeqCst);
+                        }
+                        Input::SnapshotPublished => state.note_snapshot(ctx),
+                    }
+                }
+                publish(ctx, &state.core);
+            }
+            Err(PopError::Empty) => {}
+            Err(PopError::Closed) => return Err(()),
+        }
+        let now = Instant::now();
+        if now >= next_tick {
+            next_tick = now + tick_every;
+            state.handle(ctx, Event::Tick)?;
+            // Catches a `SnapshotPublished` a full DispatcherQueue
+            // refused (see `Ctx::publish_snapshot`).
+            state.note_snapshot(ctx);
+        }
+    }
+}
+
+/// What the Protocol thread owns besides its queues: the core and the
+/// buffers its actions pass through.
+struct ProtocolState {
+    core: PaxosReplica,
+    actions: Vec<Action>,
+    deliveries: Vec<Decision>,
     // Stage clocks of batches this replica proposed, keyed by the
     // batch's first request id and tagged with the slot the proposal
     // took; probed when the decision comes back as a `Deliver`. Cleared
@@ -126,109 +270,36 @@ pub(crate) fn run_protocol(ctx: &Ctx) {
     // snapshot install or catch-up fast-forward never produces a
     // `Deliver` action, so without the sweep its entry would sit in the
     // map for the leader's whole lifetime.
-    let mut pending_clocks: HashMap<RequestId, (Slot, StageClock)> = HashMap::new();
-    core.handle(Event::Init, ctx.shared.now_ns(), &mut actions);
-    if apply_actions(ctx, &mut actions, &mut deliveries, &mut pending_clocks).is_err() {
-        return;
+    pending_clocks: HashMap<RequestId, (Slot, StageClock)>,
+    /// Watermark of the newest published snapshot the core has noted.
+    seen_watermark: Slot,
+}
+
+impl ProtocolState {
+    /// Hands `event` to the core and carries out the resulting actions.
+    /// Returns `Err(())` when the replica is shutting down.
+    fn handle(&mut self, ctx: &Ctx, event: Event) -> Result<(), ()> {
+        self.core
+            .handle(event, ctx.shared.now_ns(), &mut self.actions);
+        apply_actions(
+            ctx,
+            &mut self.actions,
+            &mut self.deliveries,
+            &mut self.pending_clocks,
+        )
     }
-    // The ServiceManager publishes snapshots through the SnapshotStore;
-    // the watermark atomic is the Protocol thread's cue to fast-forward
-    // past recovered state and compact the in-memory log.
-    let mut seen_watermark = ctx.snapshots.watermark();
-    if seen_watermark > Slot::ZERO {
-        core.note_snapshot(seen_watermark);
-        publish(ctx, &core);
-    }
-    let tick_every = ctx.config.heartbeat_interval() / 2;
-    let mut last_tick = Instant::now();
-    loop {
-        if ctx.is_shutdown() {
+
+    /// Fast-forwards and compacts the log up to the newest snapshot the
+    /// ServiceManager published, if it is newer than the last one noted.
+    fn note_snapshot(&mut self, ctx: &Ctx) {
+        let watermark = ctx.snapshots.watermark();
+        if watermark <= self.seen_watermark {
             return;
         }
-        let watermark = ctx.snapshots.watermark();
-        if watermark > seen_watermark {
-            seen_watermark = watermark;
-            sweep_pending_clocks(&mut pending_clocks, watermark);
-            core.note_snapshot(watermark);
-            if apply_actions(ctx, &mut actions, &mut deliveries, &mut pending_clocks).is_err() {
-                return;
-            }
-            publish(ctx, &core);
-        }
-        // Pull proposals whenever the pipelining window has room. The
-        // Batcher prepares batches concurrently (§V-C1), so starting a new
-        // ballot is one queue pop, not a batch construction. This stays a
-        // per-item pop on purpose: the window check gates every proposal.
-        while core.window_open() {
-            match ctx.proposal_q.try_pop() {
-                Ok((batch, stamp)) => {
-                    let now = ctx.shared.now_ns();
-                    if ctx.stage.enabled {
-                        let clock = ctx.stage.record_proposed(stamp, now);
-                        if let Some(key) = batch_key(&batch) {
-                            // window_open() held above, so handle() will
-                            // propose this batch immediately into
-                            // exactly next_slot() — tag the entry with
-                            // it so the watermark sweep can tell which
-                            // proposals a snapshot has overtaken.
-                            pending_clocks.insert(key, (core.next_slot(), clock));
-                        }
-                    }
-                    core.handle(Event::Proposal(batch), now, &mut actions);
-                    if apply_actions(ctx, &mut actions, &mut deliveries, &mut pending_clocks)
-                        .is_err()
-                    {
-                        return;
-                    }
-                    publish(ctx, &core);
-                }
-                Err(PopError::Empty) => break,
-                Err(PopError::Closed) => return,
-            }
-        }
-        // Drain the DispatcherQueue in bulk between window checks: one
-        // lock acquisition moves the whole burst of peer messages.
-        match ctx.dispatcher_q.pop_wait_all_with(
-            &mut events,
-            EVENT_BURST,
-            Duration::from_millis(1),
-            &handle,
-        ) {
-            Ok(_) => {
-                for event in events.drain(..) {
-                    // A service that cannot restore a snapshot must not
-                    // install one: drop peer snapshots on the floor and
-                    // keep catching up slot by slot.
-                    if !ctx.snapshot_capable
-                        && matches!(
-                            &event,
-                            Event::Message {
-                                msg: ProtocolMsg::Snapshot { .. },
-                                ..
-                            }
-                        )
-                    {
-                        continue;
-                    }
-                    core.handle(event, ctx.shared.now_ns(), &mut actions);
-                    if apply_actions(ctx, &mut actions, &mut deliveries, &mut pending_clocks)
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                publish(ctx, &core);
-            }
-            Err(PopError::Empty) => {}
-            Err(PopError::Closed) => return,
-        }
-        if last_tick.elapsed() >= tick_every {
-            last_tick = Instant::now();
-            core.handle(Event::Tick, ctx.shared.now_ns(), &mut actions);
-            if apply_actions(ctx, &mut actions, &mut deliveries, &mut pending_clocks).is_err() {
-                return;
-            }
-        }
+        self.seen_watermark = watermark;
+        sweep_pending_clocks(&mut self.pending_clocks, watermark);
+        self.core.note_snapshot(watermark);
+        publish(ctx, &self.core);
     }
 }
 

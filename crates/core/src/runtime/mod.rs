@@ -34,6 +34,21 @@ pub use client_io::EventedIoOptions;
 pub(crate) use client_io::IoWaker;
 use service_manager::{ServiceMode, SnapshotRig};
 
+/// One input of the Protocol thread, carried by the DispatcherQueue. The
+/// thread's only wait is a pop of this queue, so everything that has
+/// work for it arrives here.
+#[derive(Debug)]
+pub(crate) enum Input {
+    /// A decoded frame from a peer's ReplicaIO receiver.
+    Message { from: ReplicaId, msg: ProtocolMsg },
+    /// The Batcher pushed to the ProposalQueue. Coalesced through
+    /// [`Ctx::proposal_ready`]: at most one is queued at a time.
+    ProposalReady,
+    /// The ServiceManager published a newer snapshot to the
+    /// [`SnapshotStore`].
+    SnapshotPublished,
+}
+
 /// One unit of work on the DecisionQueue.
 #[derive(Debug)]
 pub(crate) enum Decision {
@@ -48,8 +63,8 @@ pub(crate) enum Decision {
 }
 
 /// The replica's published snapshot state: the newest blob (for serving
-/// snapshot transfer) and its watermark (an atomic the Protocol thread
-/// polls to drive compaction without locking).
+/// snapshot transfer) and its watermark (which the Protocol thread reads
+/// on [`Input::SnapshotPublished`] to drive compaction).
 pub(crate) struct SnapshotStore {
     latest: Mutex<Option<Arc<SnapshotBlob>>>,
     watermark: AtomicU64,
@@ -106,7 +121,10 @@ pub(crate) struct Ctx {
     pub request_q: BoundedQueue<(Request, u64)>,
     /// Sealed batches paired with their intake/sealed stamps.
     pub proposal_q: BoundedQueue<(Batch, BatchStamp)>,
-    pub dispatcher_q: BoundedQueue<smr_paxos::Event>,
+    /// Set while an [`Input::ProposalReady`] is queued and not yet
+    /// handled (see `core_threads::announce_proposal`).
+    pub proposal_ready: AtomicBool,
+    pub dispatcher_q: BoundedQueue<Input>,
     pub decision_q: BoundedQueue<Decision>,
     /// Newest snapshot (blob + watermark) this replica can serve.
     pub snapshots: SnapshotStore,
@@ -156,6 +174,17 @@ impl Ctx {
 
     pub fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// Publishes `blob` and tells the Protocol thread, which compacts
+    /// its log up to the new watermark. The notice never blocks: the
+    /// caller is the ServiceManager, and the Protocol thread may itself
+    /// be blocked pushing to the DecisionQueue the ServiceManager drains.
+    /// A notice refused by a full DispatcherQueue is not lost: the
+    /// Protocol thread also compares the watermark on each tick.
+    pub fn publish_snapshot(&self, blob: Arc<SnapshotBlob>) {
+        self.snapshots.publish(blob);
+        let _ = self.dispatcher_q.try_push(Input::SnapshotPublished);
     }
 }
 
@@ -445,6 +474,7 @@ impl ReplicaBuilder {
             shutdown: AtomicBool::new(false),
             request_q: BoundedQueue::new("RequestQueue", config.request_queue_capacity()),
             proposal_q: BoundedQueue::new("ProposalQueue", config.proposal_queue_capacity()),
+            proposal_ready: AtomicBool::new(false),
             dispatcher_q: BoundedQueue::new("DispatcherQueue", config.dispatcher_queue_capacity()),
             decision_q: BoundedQueue::new("DecisionQueue", config.decision_queue_capacity()),
             send_qs: (0..n)

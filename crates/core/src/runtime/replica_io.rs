@@ -4,11 +4,10 @@
 use std::time::Duration;
 
 use smr_metrics::ThreadState;
-use smr_paxos::Event;
 use smr_types::ReplicaId;
 use smr_wire::{Codec, ProtocolMsg};
 
-use super::Ctx;
+use super::{Ctx, Input};
 
 /// Sender thread for one peer: drains the peer's SendQueue, serializes,
 /// and writes to the network. Having a dedicated thread means the
@@ -58,7 +57,7 @@ pub(crate) fn run_receiver(ctx: &Ctx, peer: ReplicaId) {
                 Ok(msg) => {
                     if ctx
                         .dispatcher_q
-                        .push_with(Event::Message { from: peer, msg }, &handle)
+                        .push_with(Input::Message { from: peer, msg }, &handle)
                         .is_err()
                     {
                         return;

@@ -178,7 +178,7 @@ impl SnapshotRig {
             }
         }
         self.last_snapshot = blob.applied_upto;
-        ctx.snapshots.publish(blob);
+        ctx.publish_snapshot(blob);
         true
     }
 }

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use smr_core::{EventedIoOptions, InProcessCluster, KvService, NullService, SequencerService};
 use smr_net::ClientEndpoint;
-use smr_types::{ClientId, ClusterConfig, ReplicaId, RequestId, SeqNum, View};
+use smr_types::{BatchPolicy, ClientId, ClusterConfig, ReplicaId, RequestId, SeqNum, View};
 use smr_wire::{ClientMsg, Codec, Request};
 
 fn small_config(n: usize) -> ClusterConfig {
@@ -336,5 +336,75 @@ fn queue_lengths_observable() {
     let cluster = InProcessCluster::start(small_config(3), |_| Box::new(NullService::new(8)));
     let (rq, pq, dq) = cluster.replica(ReplicaId(0)).queue_lengths();
     assert!(rq <= 1000 && pq <= 20 && dq <= 4096);
+    cluster.shutdown();
+}
+
+/// Times the DispatcherQueue's pops had to wait, on replica `id`.
+fn dispatcher_pop_waits(cluster: &InProcessCluster, id: ReplicaId) -> u64 {
+    cluster
+        .replica(id)
+        .metrics_snapshot()
+        .queues
+        .iter()
+        .find(|q| q.name == "DispatcherQueue")
+        .expect("DispatcherQueue is registered")
+        .pop_waits
+}
+
+/// An idle Protocol thread wakes for its ticks (every
+/// `heartbeat_interval / 2`, 10 ms by default) and for heartbeats, not
+/// on a fixed short park: over one second each replica's DispatcherQueue
+/// pop waits at most 400 times (a 1 ms park would wait ~1000 times).
+#[test]
+fn idle_protocol_thread_wakes_for_ticks_not_a_short_park() {
+    let cluster = InProcessCluster::start(ClusterConfig::new(3), |_| Box::new(NullService::new(8)));
+    cluster.client().execute(&[1u8; 16]).unwrap();
+    let ids: Vec<ReplicaId> = cluster.config().replicas().collect();
+    let before: Vec<u64> = ids
+        .iter()
+        .map(|&id| dispatcher_pop_waits(&cluster, id))
+        .collect();
+    let started = Instant::now();
+    std::thread::sleep(Duration::from_secs(1));
+    let elapsed = started.elapsed();
+    for (&id, before) in ids.iter().zip(before) {
+        let waits = dispatcher_pop_waits(&cluster, id) - before;
+        assert!(
+            waits <= 400,
+            "replica {id}: {waits} DispatcherQueue pop waits in {elapsed:?} of idling"
+        );
+    }
+    cluster.shutdown();
+}
+
+/// The Batcher wakes the Protocol thread when it hands over a batch. With
+/// a 400 ms heartbeat the Protocol thread ticks every 200 ms, and on an
+/// idle cluster nothing else would wake it: a request whose batch waited
+/// for the tick would take 100 ms on average. Sequential requests must
+/// instead come back in a small fraction of a tick.
+#[test]
+fn proposals_wake_the_protocol_thread_between_ticks() {
+    let config = ClusterConfig::builder(3)
+        .heartbeat_interval(Duration::from_millis(400))
+        .suspect_timeout(Duration::from_secs(2))
+        .batch(BatchPolicy {
+            timeout: Duration::from_millis(1),
+            ..BatchPolicy::default()
+        })
+        .build()
+        .unwrap();
+    let cluster = InProcessCluster::start(config, |_| Box::new(NullService::new(8)));
+    let mut client = cluster.client();
+    client.execute(&[1u8; 16]).unwrap();
+    let rounds = 20u32;
+    let started = Instant::now();
+    for _ in 0..rounds {
+        client.execute(&[2u8; 16]).unwrap();
+    }
+    let mean = started.elapsed() / rounds;
+    assert!(
+        mean < Duration::from_millis(50),
+        "mean round trip {mean:?} against a 200 ms tick"
+    );
     cluster.shutdown();
 }

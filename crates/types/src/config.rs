@@ -241,8 +241,8 @@ impl ClusterConfig {
 
     /// Heartbeat period of the failure detector: a link that carried
     /// nothing for this long gets a heartbeat (leader to followers,
-    /// followers to the leader). The Protocol thread checks the
-    /// detector every half period.
+    /// followers to the leader). The Protocol thread ticks the detector
+    /// every half period, and waits for input at most that long.
     pub fn heartbeat_interval(&self) -> Duration {
         self.heartbeat_interval
     }
@@ -349,7 +349,7 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Sets the heartbeat interval.
+    /// Sets the heartbeat interval (must be > 0).
     pub fn heartbeat_interval(mut self, interval: Duration) -> Self {
         self.config.heartbeat_interval = interval;
         self
@@ -373,7 +373,8 @@ impl ClusterConfigBuilder {
     ///
     /// Returns [`ConfigError`] if the configuration is inconsistent (zero
     /// replicas, zero window, invalid batch policy, zero queue capacities,
-    /// suspect timeout not larger than the heartbeat interval, …).
+    /// zero heartbeat interval, suspect timeout not larger than the
+    /// heartbeat interval, …).
     pub fn build(self) -> Result<ClusterConfig, ConfigError> {
         let c = &self.config;
         if c.n == 0 {
@@ -400,6 +401,11 @@ impl ClusterConfigBuilder {
                 return Err(ConfigError::invalid(format!("{name} must be > 0")));
             }
         }
+        // The Protocol thread waits for input at most until its next
+        // tick, `heartbeat_interval / 2` away: zero would make it spin.
+        if c.heartbeat_interval.is_zero() {
+            return Err(ConfigError::invalid("heartbeat_interval must be > 0"));
+        }
         if c.suspect_timeout <= c.heartbeat_interval {
             return Err(ConfigError::invalid(
                 "suspect_timeout must exceed heartbeat_interval",
@@ -424,6 +430,15 @@ mod tests {
         assert_eq!(c.batch().max_bytes, 1300);
         assert_eq!(c.request_queue_capacity(), 1000);
         assert_eq!(c.proposal_queue_capacity(), 20);
+    }
+
+    #[test]
+    fn builder_rejects_zero_heartbeat_interval() {
+        let r = ClusterConfig::builder(3)
+            .heartbeat_interval(Duration::ZERO)
+            .suspect_timeout(Duration::from_millis(100))
+            .build();
+        assert!(r.is_err());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper evaluates with a *null service* ("discards the payload of the
 //! request and sends back a byte array of the size required") to isolate
 //! the ordering path; real deployments replicate things like lock servers
-//! (Chubby [1]) and coordination kernels (ZooKeeper [2]) — small,
+//! (Chubby \[1\]) and coordination kernels (ZooKeeper \[2\]) — small,
 //! CPU-light services for which the replication layer is the bottleneck.
 //! This module ships all of those shapes.
 
@@ -163,7 +163,7 @@ impl<S: ConflictAwareService + ?Sized> Service for Arc<S> {
 }
 
 /// Combines one key/value pair into the commutative state digest used by
-/// [`ConflictAwareService::state_hash`] implementations. The per-entry
+/// [`ServiceState::state_hash`] implementations. The per-entry
 /// hashes are combined with `wrapping_add`, so the digest is independent
 /// of map iteration order.
 fn entry_hash(key: &[u8], value: &[u8]) -> u64 {

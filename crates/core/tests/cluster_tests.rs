@@ -3,12 +3,13 @@
 //! at-most-once semantics.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use smr_core::{EventedIoOptions, InProcessCluster, KvService, NullService, SequencerService};
-use smr_net::ClientEndpoint;
+use smr_net::memory::MemoryHub;
+use smr_net::{ClientEndpoint, NetError, ReplicaNetwork};
 use smr_types::{BatchPolicy, ClientId, ClusterConfig, ReplicaId, RequestId, SeqNum, View};
 use smr_wire::{ClientMsg, Codec, Request};
 
@@ -407,4 +408,84 @@ fn proposals_wake_the_protocol_thread_between_ticks() {
         "mean round trip {mean:?} against a 200 ms tick"
     );
     cluster.shutdown();
+}
+
+/// A replica network that counts the frames its replica sends.
+struct CountingNetwork {
+    inner: Arc<dyn ReplicaNetwork>,
+    frames: Arc<AtomicU64>,
+}
+
+impl ReplicaNetwork for CountingNetwork {
+    fn send_to(&self, peer: ReplicaId, frame: Vec<u8>) -> Result<(), NetError> {
+        self.frames.fetch_add(1, Ordering::Relaxed);
+        self.inner.send_to(peer, frame)
+    }
+
+    fn recv_from(&self, peer: ReplicaId) -> Result<Vec<u8>, NetError> {
+        self.inner.recv_from(peer)
+    }
+
+    fn shutdown(&self) {
+        self.inner.shutdown();
+    }
+}
+
+/// With three replicas a consensus instance is four peer frames: the
+/// leader's Propose to each follower and each follower's Accept back to
+/// the leader. A follower decides on the Propose, so the other follower's
+/// Accept would carry nothing (broadcasting it costs six frames). The
+/// 400 ms heartbeat keeps heartbeats out of the count.
+#[test]
+fn n3_instance_costs_four_peer_frames() {
+    let config = ClusterConfig::builder(3)
+        .heartbeat_interval(Duration::from_millis(400))
+        .suspect_timeout(Duration::from_secs(2))
+        .batch(BatchPolicy {
+            timeout: Duration::from_millis(1),
+            ..BatchPolicy::default()
+        })
+        .build()
+        .unwrap();
+    let fabric = MemoryHub::new(3, 7);
+    let frames = Arc::new(AtomicU64::new(0));
+    let cluster = InProcessCluster::start_with(config, |id, builder| {
+        let network = CountingNetwork {
+            inner: Arc::new(fabric.replica_network(id)),
+            frames: Arc::clone(&frames),
+        };
+        builder
+            .with_service(Box::new(NullService::new(8)))
+            .with_network(Arc::new(network))
+    });
+    let ids: Vec<ReplicaId> = cluster.config().replicas().collect();
+    let decided = |id: ReplicaId| cluster.replica(id).shared().decided_upto().0;
+    // Every replica has decided everything the leader has, and the
+    // frames that did it have left the senders.
+    let settle = || {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while ids.iter().any(|&id| decided(id) < decided(ReplicaId(0))) {
+            assert!(Instant::now() < deadline, "followers caught up");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut client = cluster.client();
+    client.execute(&[1u8; 16]).unwrap();
+    settle();
+    let (frames_before, slots_before) = (frames.load(Ordering::Relaxed), decided(ReplicaId(0)));
+    for _ in 0..50 {
+        client.execute(&[2u8; 16]).unwrap();
+    }
+    settle();
+    let sent = frames.load(Ordering::Relaxed) - frames_before;
+    let slots = decided(ReplicaId(0)) - slots_before;
+    assert!(slots >= 50, "{slots} slots decided for 50 requests");
+    let per_slot = sent as f64 / slots as f64;
+    assert!(
+        per_slot <= 4.5,
+        "{sent} peer frames for {slots} slots: {per_slot:.2} per slot"
+    );
+    cluster.shutdown();
+    fabric.shutdown();
 }

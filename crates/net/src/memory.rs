@@ -29,8 +29,10 @@ const LINK_CAPACITY: usize = 4096;
 const CLIENT_CAPACITY: usize = 64;
 
 struct Fault {
-    /// Probability in [0,1] that a replica-link frame is dropped.
-    loss: Mutex<f64>,
+    /// Probability in \[0, 1\] that a replica-link frame is dropped, as
+    /// the bits of an `f64`: every replica frame reads it, so it is an
+    /// atomic rather than a lock the senders would contend on.
+    loss: AtomicU64,
     /// `blocked[a][b]` — frames from a to b are silently dropped.
     blocked: Vec<Vec<AtomicBool>>,
     rng: Mutex<SmallRng>,
@@ -98,7 +100,7 @@ impl MemoryHub {
                 links,
                 pending_conns,
                 fault: Fault {
-                    loss: Mutex::new(0.0),
+                    loss: AtomicU64::new(0.0f64.to_bits()),
                     blocked,
                     rng: Mutex::new(SmallRng::seed_from_u64(seed)),
                 },
@@ -169,7 +171,11 @@ impl MemoryHub {
 
     /// Sets the probability that any replica-link frame is dropped.
     pub fn set_loss(&self, probability: f64) {
-        *self.inner.fault.loss.lock() = probability.clamp(0.0, 1.0);
+        let loss = probability.clamp(0.0, 1.0);
+        self.inner
+            .fault
+            .loss
+            .store(loss.to_bits(), Ordering::Relaxed);
     }
 
     /// Blocks (or unblocks) both directions between `a` and `b`.
@@ -217,7 +223,7 @@ impl MemoryHub {
         if self.inner.fault.blocked[from.index()][to.index()].load(Ordering::Acquire) {
             return true;
         }
-        let loss = *self.inner.fault.loss.lock();
+        let loss = f64::from_bits(self.inner.fault.loss.load(Ordering::Relaxed));
         loss > 0.0 && self.inner.fault.rng.lock().gen_bool(loss)
     }
 }

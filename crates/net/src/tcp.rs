@@ -44,9 +44,57 @@ fn parse_handshake(payload: &[u8]) -> Option<ReplicaId> {
     }
 }
 
+/// Read buffer of a replica link: one peer frame carries a whole batch.
+const PEER_READ_BUF: usize = 64 * 1024;
+
+/// Read buffer of a client connection: client frames are single requests
+/// and replies.
+const CLIENT_READ_BUF: usize = 16 * 1024;
+
+/// The read side of one framed stream: a decoder plus a read buffer
+/// allocated once per stream, so a read call does not zero a fresh
+/// buffer every time.
+struct FrameReader {
+    decoder: FrameDecoder,
+    buf: Box<[u8]>,
+}
+
+impl FrameReader {
+    fn new(buf_len: usize) -> Self {
+        FrameReader {
+            decoder: FrameDecoder::new(),
+            buf: vec![0u8; buf_len].into_boxed_slice(),
+        }
+    }
+
+    /// The next complete frame already received, if any.
+    fn next_frame(&mut self) -> Result<Option<Vec<u8>>, NetError> {
+        self.decoder
+            .next_frame()
+            .map_err(|e| NetError::BadFrame(e.to_string()))
+    }
+
+    /// One `read` from `stream` into the decoder; returns what `read`
+    /// returned (0 = the peer closed).
+    fn fill_from(&mut self, stream: &mut TcpStream) -> std::io::Result<usize> {
+        let n = stream.read(&mut self.buf)?;
+        self.decoder.extend(&self.buf[..n]);
+        Ok(n)
+    }
+}
+
+impl std::fmt::Debug for FrameReader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameReader")
+            .field("buffered", &self.decoder.buffered())
+            .field("buf_len", &self.buf.len())
+            .finish()
+    }
+}
+
 struct PeerSlot {
-    /// Incoming stream + its decoder, installed by the acceptor.
-    incoming: Mutex<Option<(TcpStream, FrameDecoder)>>,
+    /// Incoming stream + its reader, installed by the acceptor.
+    incoming: Mutex<Option<(TcpStream, FrameReader)>>,
     incoming_ready: Condvar,
     /// Outgoing stream, owned by the sender.
     outgoing: Mutex<Option<TcpStream>>,
@@ -176,19 +224,15 @@ fn accept_loop(inner: &TcpNetInner, listener: TcpListener) {
                 // Read the handshake (blocking with a deadline).
                 let _ = stream.set_nonblocking(false);
                 let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                let mut decoder = FrameDecoder::new();
-                let mut buf = [0u8; 256];
+                let mut reader = FrameReader::new(PEER_READ_BUF);
                 let peer = loop {
-                    match stream.read(&mut buf) {
+                    match reader.fill_from(&mut stream) {
                         Ok(0) => break None,
-                        Ok(n) => {
-                            decoder.extend(&buf[..n]);
-                            match decoder.next_frame() {
-                                Ok(Some(p)) => break parse_handshake(&p),
-                                Ok(None) => continue,
-                                Err(_) => break None,
-                            }
-                        }
+                        Ok(_) => match reader.next_frame() {
+                            Ok(Some(p)) => break parse_handshake(&p),
+                            Ok(None) => continue,
+                            Err(_) => break None,
+                        },
                         Err(_) => break None,
                     }
                 };
@@ -196,7 +240,7 @@ fn accept_loop(inner: &TcpNetInner, listener: TcpListener) {
                     if let Some(slot) = inner.slots.get(&peer.0) {
                         let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
                         let _ = stream.set_nodelay(true);
-                        *slot.incoming.lock() = Some((stream, decoder));
+                        *slot.incoming.lock() = Some((stream, reader));
                         slot.incoming_ready.notify_all();
                     }
                 }
@@ -246,7 +290,6 @@ impl ReplicaNetwork for TcpReplicaNetwork {
     fn recv_from(&self, peer: ReplicaId) -> Result<Vec<u8>, NetError> {
         let inner = &self.inner;
         let slot = inner.slots.get(&peer.0).ok_or(NetError::Closed)?;
-        let mut buf = [0u8; 64 * 1024];
         loop {
             if inner.shutdown.load(Ordering::Acquire) {
                 return Err(NetError::Closed);
@@ -257,16 +300,13 @@ impl ReplicaNetwork for TcpReplicaNetwork {
                     // Wait for the acceptor to install a stream.
                     slot.incoming_ready.wait_for(&mut guard, POLL_INTERVAL);
                 }
-                Some((stream, decoder)) => {
-                    if let Some(frame) = decoder
-                        .next_frame()
-                        .map_err(|e| NetError::BadFrame(e.to_string()))?
-                    {
+                Some((stream, reader)) => {
+                    if let Some(frame) = reader.next_frame()? {
                         return Ok(frame);
                     }
-                    match stream.read(&mut buf) {
+                    match reader.fill_from(stream) {
                         Ok(0) => *guard = None, // peer closed; await reconnect
-                        Ok(n) => decoder.extend(&buf[..n]),
+                        Ok(_) => {}
                         Err(e)
                             if e.kind() == std::io::ErrorKind::WouldBlock
                                 || e.kind() == std::io::ErrorKind::TimedOut => {}
@@ -298,7 +338,7 @@ static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
 pub struct TcpServerConn {
     id: u64,
     stream: TcpStream,
-    decoder: FrameDecoder,
+    reader: FrameReader,
     /// Framed bytes queued for the client but not yet written. Filled by
     /// `try_send` (one append per reply), drained by `flush_out` (one
     /// write burst per batch) — that asymmetry is the reply coalescing.
@@ -340,21 +380,16 @@ impl ClientConn for TcpServerConn {
         // buffer is drained (`WouldBlock`). Returning `None` on a partial
         // frame while bytes remain buffered would wedge an edge-triggered
         // caller: no new readable edge fires for bytes already received.
-        let mut buf = [0u8; 16 * 1024];
         loop {
-            if let Some(frame) = self
-                .decoder
-                .next_frame()
-                .map_err(|e| NetError::BadFrame(e.to_string()))?
-            {
+            if let Some(frame) = self.reader.next_frame()? {
                 return Ok(Some(frame));
             }
-            match self.stream.read(&mut buf) {
+            match self.reader.fill_from(&mut self.stream) {
                 Ok(0) => {
                     self.closed = true;
                     return Err(NetError::Closed);
                 }
-                Ok(n) => self.decoder.extend(&buf[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => {
@@ -481,7 +516,7 @@ impl ClientListener for TcpClientListener {
                     return Ok(Some(Box::new(TcpServerConn {
                         id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
                         stream,
-                        decoder: FrameDecoder::new(),
+                        reader: FrameReader::new(CLIENT_READ_BUF),
                         out: BytesMut::new(),
                         closed: false,
                     })));
@@ -513,7 +548,7 @@ impl ClientListener for TcpClientListener {
 #[derive(Debug)]
 pub struct TcpClientEndpoint {
     stream: TcpStream,
-    decoder: FrameDecoder,
+    reader: FrameReader,
 }
 
 impl TcpClientEndpoint {
@@ -527,7 +562,7 @@ impl TcpClientEndpoint {
         stream.set_nodelay(true)?;
         Ok(TcpClientEndpoint {
             stream,
-            decoder: FrameDecoder::new(),
+            reader: FrameReader::new(CLIENT_READ_BUF),
         })
     }
 }
@@ -540,30 +575,20 @@ impl ClientEndpoint for TcpClientEndpoint {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
-        if let Some(frame) = self
-            .decoder
-            .next_frame()
-            .map_err(|e| NetError::BadFrame(e.to_string()))?
-        {
+        if let Some(frame) = self.reader.next_frame()? {
             return Ok(Some(frame));
         }
         let deadline = Instant::now() + timeout;
-        let mut buf = [0u8; 16 * 1024];
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Ok(None);
             }
             self.stream.set_read_timeout(Some(remaining))?;
-            match self.stream.read(&mut buf) {
+            match self.reader.fill_from(&mut self.stream) {
                 Ok(0) => return Err(NetError::Closed),
-                Ok(n) => {
-                    self.decoder.extend(&buf[..n]);
-                    if let Some(frame) = self
-                        .decoder
-                        .next_frame()
-                        .map_err(|e| NetError::BadFrame(e.to_string()))?
-                    {
+                Ok(_) => {
+                    if let Some(frame) = self.reader.next_frame()? {
                         return Ok(Some(frame));
                     }
                 }
@@ -653,6 +678,57 @@ mod tests {
             .unwrap()
             .is_none());
         assert!(start.elapsed() >= Duration::from_millis(45));
+    }
+
+    /// Two frames in one write, then one frame split across two writes,
+    /// sent on `stream`: the byte streams a reader must reassemble.
+    fn write_coalesced_then_split(stream: &mut TcpStream) {
+        let mut both = Frame::encode_to_vec(b"first");
+        both.extend_from_slice(&Frame::encode_to_vec(b"second"));
+        stream.write_all(&both).unwrap();
+        let split = Frame::encode_to_vec(&[7u8; 300]);
+        stream.write_all(&split[..5]).unwrap();
+        stream.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        stream.write_all(&split[5..]).unwrap();
+    }
+
+    #[test]
+    fn recv_from_decodes_coalesced_and_split_frames() {
+        let addrs = free_addrs(2);
+        let n1 = TcpReplicaNetwork::bind(ReplicaId(1), addrs.clone()).unwrap();
+        let mut raw = TcpStream::connect(addrs[1]).unwrap();
+        raw.set_nodelay(true).unwrap();
+        raw.write_all(&handshake_frame(ReplicaId(0))).unwrap();
+        write_coalesced_then_split(&mut raw);
+        assert_eq!(n1.recv_from(ReplicaId(0)).unwrap(), b"first");
+        assert_eq!(n1.recv_from(ReplicaId(0)).unwrap(), b"second");
+        assert_eq!(n1.recv_from(ReplicaId(0)).unwrap(), vec![7u8; 300]);
+        n1.shutdown();
+    }
+
+    #[test]
+    fn try_recv_decodes_coalesced_and_split_frames() {
+        let listener = TcpClientListener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+        let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        raw.set_nodelay(true).unwrap();
+        let mut conn = listener
+            .accept_timeout(Duration::from_secs(2))
+            .unwrap()
+            .expect("client connected");
+        write_coalesced_then_split(&mut raw);
+        let mut got = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while got.len() < 3 && Instant::now() < deadline {
+            match conn.try_recv().unwrap() {
+                Some(frame) => got.push(frame),
+                None => std::thread::sleep(Duration::from_millis(2)),
+            }
+        }
+        assert_eq!(
+            got,
+            vec![b"first".to_vec(), b"second".to_vec(), vec![7u8; 300]]
+        );
     }
 
     #[test]

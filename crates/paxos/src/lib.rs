@@ -21,8 +21,11 @@
 //! View 0 is prepared by convention (nothing can have been accepted
 //! earlier), so a fresh cluster starts ordering immediately. A leader
 //! assigns consecutive slots to batches and sends `Propose` (Phase 2a);
-//! acceptors accept and broadcast `Accept` (Phase 2b) to *all* replicas, so
-//! every replica learns decisions directly. A replica suspects a leader
+//! acceptors accept and send `Accept` (Phase 2b) to every replica that
+//! can use it, so every replica learns decisions directly: with n = 3 a
+//! follower's own vote and the leader's already decide the slot, so the
+//! `Accept` goes to the leader only; for n ≥ 4 it goes to all replicas.
+//! A replica suspects a leader
 //! it has not heard from for longer than its adaptive threshold (checked
 //! on [`Event::Tick`]), advances to the next view, and the new leader
 //! runs `Prepare`/`Promise` (Phase 1) over the unstable log suffix

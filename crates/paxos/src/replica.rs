@@ -672,6 +672,16 @@ impl PaxosReplica {
         }
     }
 
+    /// A follower accepts the leader's `batch` for `slot` (Phase 2b),
+    /// counting its own vote and the leader's implicit one, and answers
+    /// with an `Accept`.
+    ///
+    /// With a majority of two (n ≤ 3) those two votes already decide the
+    /// slot here, so the `Accept` goes to the leader only: another
+    /// follower either saw the Propose and decided on it, or it did not,
+    /// and then one vote is below a majority and cannot decide the slot
+    /// or start a catch-up. For n ≥ 4 a follower needs other followers'
+    /// votes to decide, so the `Accept` goes to every peer.
     fn on_propose_msg(
         &mut self,
         from: ReplicaId,
@@ -714,8 +724,13 @@ impl PaxosReplica {
         inst.accepted_view = Some(view);
         inst.record_vote(me, view);
         inst.record_vote(from, view);
+        let to = if self.config.majority() <= 2 {
+            Target::One(from)
+        } else {
+            Target::All
+        };
         out.push(Action::Send {
-            to: Target::All,
+            to,
             msg: ProtocolMsg::Accept { view, slot },
         });
         self.try_decide(slot, now_ns, out);
@@ -1031,6 +1046,62 @@ mod tests {
                 assert_eq!(b, &batch(i as u64));
             }
         }
+    }
+
+    /// Hands a fresh Propose from the view-0 leader to replica 1 of an
+    /// `n`-replica cluster; returns where its `Accept` goes and what it
+    /// delivered.
+    fn follower_accept(n: usize) -> (Target, Vec<Slot>) {
+        let mut follower = PaxosReplica::new(ReplicaId(1), ClusterConfig::new(n));
+        let mut out = Vec::new();
+        follower.handle(Event::Init, 0, &mut out);
+        out.clear();
+        let propose = ProtocolMsg::Propose {
+            view: View(0),
+            slot: Slot(0),
+            batch: batch(0),
+        };
+        follower.handle(
+            Event::Message {
+                from: ReplicaId(0),
+                msg: propose,
+            },
+            1,
+            &mut out,
+        );
+        let mut targets = out.iter().filter_map(|a| match a {
+            Action::Send {
+                to,
+                msg: ProtocolMsg::Accept { .. },
+            } => Some(*to),
+            _ => None,
+        });
+        let target = targets.next().expect("the follower accepted");
+        assert_eq!(targets.next(), None, "one Accept per Propose");
+        let delivered = out
+            .iter()
+            .filter_map(|a| match a {
+                Action::Deliver { slot, .. } => Some(*slot),
+                _ => None,
+            })
+            .collect();
+        (target, delivered)
+    }
+
+    #[test]
+    fn n3_follower_sends_its_accept_to_the_leader_only() {
+        let (target, delivered) = follower_accept(3);
+        assert_eq!(target, Target::One(ReplicaId(0)));
+        // Its own vote and the leader's are a majority: decided already.
+        assert_eq!(delivered, vec![Slot(0)]);
+    }
+
+    #[test]
+    fn n5_follower_broadcasts_its_accept() {
+        let (target, delivered) = follower_accept(5);
+        assert_eq!(target, Target::All);
+        // Two votes of five: it needs another follower's Accept.
+        assert!(delivered.is_empty());
     }
 
     #[test]

@@ -23,6 +23,12 @@ struct Chaos {
     replicas: Vec<PaxosReplica>,
     /// (to, from, msg) triples awaiting delivery.
     pool: Vec<(ReplicaId, ReplicaId, ProtocolMsg)>,
+    /// With three replicas, a copy of every follower→leader `Accept`
+    /// addressed to the third replica, which the protocol never sends it
+    /// (`None`: no copies are made).
+    shadows: Option<Vec<(ReplicaId, ReplicaId, ProtocolMsg)>>,
+    /// Shadow copies delivered so far.
+    shadows_delivered: usize,
     delivered: Vec<Vec<(Slot, Batch)>>,
     now: u64,
     next_tag: u64,
@@ -36,6 +42,8 @@ impl Chaos {
                 .map(|i| PaxosReplica::new(ReplicaId(i), config.clone()))
                 .collect(),
             pool: Vec::new(),
+            shadows: None,
+            shadows_delivered: 0,
             delivered: vec![Vec::new(); n],
             now: 0,
             next_tag: 0,
@@ -46,10 +54,27 @@ impl Chaos {
         chaos
     }
 
+    /// A three-replica cluster that also keeps shadow copies of the
+    /// followers' `Accept`s (see [`Chaos::step_with_shadows`]).
+    fn with_shadow_accepts() -> Self {
+        let mut chaos = Chaos::new(3);
+        chaos.shadows = Some(Vec::new());
+        chaos
+    }
+
     fn apply(&mut self, at: ReplicaId, event: Event) {
+        let actions = self.handle(at, event);
+        self.route(at, actions);
+    }
+
+    fn handle(&mut self, at: ReplicaId, event: Event) -> Vec<Action> {
         self.now += 1;
         let mut actions = Vec::new();
         self.replicas[at.index()].handle(event, self.now, &mut actions);
+        actions
+    }
+
+    fn route(&mut self, at: ReplicaId, actions: Vec<Action>) {
         let n = self.replicas.len();
         for action in actions {
             match action {
@@ -61,7 +86,15 @@ impl Chaos {
                             }
                         }
                     }
-                    Target::One(r) => self.pool.push((r, at, msg)),
+                    Target::One(r) => {
+                        if let (Some(shadows), ProtocolMsg::Accept { .. }) =
+                            (self.shadows.as_mut(), &msg)
+                        {
+                            let third = ReplicaId(3 - at.0 - r.0);
+                            shadows.push((third, at, msg.clone()));
+                        }
+                        self.pool.push((r, at, msg));
+                    }
                 },
                 Action::Deliver { slot, batch } => {
                     self.delivered[at.index()].push((slot, batch));
@@ -117,6 +150,42 @@ impl Chaos {
         }
     }
 
+    /// Like [`Chaos::step`], but two more ops deliver a shadow `Accept`
+    /// (removing it, or keeping it as a duplicate). Undelivered shadows
+    /// are lost. A shadow may teach its receiver a view, nothing else:
+    /// it must never decide a slot or start a catch-up there.
+    fn step_with_shadows(&mut self, op: u8, pick: usize) {
+        let shadows = self.shadows.as_mut().expect("shadow copies enabled");
+        let op = op % 12;
+        if op < 10 {
+            return self.step(op, pick);
+        }
+        if shadows.is_empty() {
+            return;
+        }
+        let idx = pick % shadows.len();
+        let (to, from, msg) = if op == 10 {
+            shadows.swap_remove(idx)
+        } else {
+            shadows[idx].clone()
+        };
+        let actions = self.handle(to, Event::Message { from, msg });
+        for action in &actions {
+            match action {
+                Action::Deliver { slot, .. } => {
+                    panic!("a shadow Accept from {from} decided {slot} at {to}")
+                }
+                Action::Send {
+                    msg: msg @ ProtocolMsg::CatchupQuery { .. },
+                    ..
+                } => panic!("a shadow Accept from {from} made {to} send {msg:?}"),
+                _ => {}
+            }
+        }
+        self.shadows_delivered += 1;
+        self.route(to, actions);
+    }
+
     fn check_safety(&self) {
         // Pairwise prefix consistency of delivered sequences.
         for a in 0..self.delivered.len() {
@@ -165,6 +234,17 @@ proptest! {
     }
 
     #[test]
+    fn another_followers_accept_is_inert_n3(
+        script in proptest::collection::vec((any::<u8>(), any::<usize>()), 0..400)
+    ) {
+        let mut chaos = Chaos::with_shadow_accepts();
+        for (op, pick) in script {
+            chaos.step_with_shadows(op, pick);
+        }
+        chaos.check_safety();
+    }
+
+    #[test]
     fn draining_the_pool_reaches_agreement(
         script in proptest::collection::vec((any::<u8>(), any::<usize>()), 0..200)
     ) {
@@ -186,20 +266,43 @@ proptest! {
     }
 }
 
+/// A long deterministic pseudo-random script of `(op, pick)` steps.
+fn seeded_script(seed: u64) -> impl Iterator<Item = (u8, usize)> {
+    let mut state = seed;
+    (0..20_000).map(move |_| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) as u8, (state >> 17) as usize)
+    })
+}
+
 #[test]
 fn long_seeded_chaos_run() {
     // A long deterministic pseudo-random run as a cheap regression net.
     let mut chaos = Chaos::new(3);
-    let mut state = 0x9E3779B97F4A7C15u64;
-    for _ in 0..20_000 {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let op = (state >> 33) as u8;
-        let pick = (state >> 17) as usize;
+    for (op, pick) in seeded_script(0x9E3779B97F4A7C15) {
         chaos.step(op, pick);
     }
     chaos.check_safety();
+    assert!(
+        chaos.delivered.iter().any(|d| !d.is_empty()),
+        "chaos run should still make progress"
+    );
+}
+
+#[test]
+fn long_seeded_chaos_run_with_shadow_accepts() {
+    let mut chaos = Chaos::with_shadow_accepts();
+    for (op, pick) in seeded_script(0x2545F4914F6CDD1D) {
+        chaos.step_with_shadows(op, pick);
+    }
+    chaos.check_safety();
+    assert!(
+        chaos.shadows_delivered > 100,
+        "only {} shadow Accepts delivered",
+        chaos.shadows_delivered
+    );
     assert!(
         chaos.delivered.iter().any(|d| !d.is_empty()),
         "chaos run should still make progress"

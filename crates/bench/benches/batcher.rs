@@ -1,5 +1,5 @@
-//! Microbench: batch formation throughput (the Batcher thread's inner
-//! loop, §V-C1).
+//! Microbench: batch formation throughput (the batching inner loop,
+//! §V-C1, which the replica runs on its Protocol thread).
 //!
 //! The paper justifies a dedicated Batcher thread by its measured load:
 //! "the total execution time of the Batcher thread can exceed 50% of a

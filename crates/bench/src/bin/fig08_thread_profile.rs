@@ -9,6 +9,10 @@
 //! busy (well balanced, no single-thread bottleneck), the Batcher shows
 //! ~15% blocked (it contends on both of its queues), and the "Replica"
 //! (ServiceManager) thread is the busiest.
+//!
+//! The simulated JPaxos replica has the paper's Batcher thread; the live
+//! cluster has none, because its Protocol thread forms batches itself, so
+//! its profile lists no Batcher.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

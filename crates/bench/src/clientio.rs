@@ -19,7 +19,7 @@ use smr_net::tcp::{TcpClientEndpoint, TcpClientListener};
 use smr_types::{BatchPolicy, ClientId, ClusterConfig, ReplicaId};
 
 /// The batch delay of every sweep cell. At the 5 ms default each
-/// closed-loop client waits out the Batcher timer on every request, so
+/// closed-loop client waits out the batch timer on every request, so
 /// every cell would read the same timer-bound rate whatever the pool
 /// size or idle-connection count; 50 µs leaves ClientIO on the path.
 const CELL_BATCH_TIMEOUT: Duration = Duration::from_micros(50);

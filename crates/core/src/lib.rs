@@ -5,14 +5,16 @@
 //! instrumented queues, reproducing Fig. 3 of the paper:
 //!
 //! ```text
-//! ClientIO-0..k ──RequestQueue──▶ Batcher ──ProposalQueue──▶ Protocol
-//!      ▲                             │                         │ ▲
-//!      │ per-thread reply queues     └─ProposalReady─────────┐ │ │ DispatcherQueue
-//! ServiceManager ("Replica" thread) ◀──DecisionQueue─────────┼─┘ │ (its one wait)
-//!      └─SnapshotPublished───────────────────────────────────┤   │
-//! ReplicaIORcv-p ──Message───────────────────────────────────┴───┘
+//! ClientIO-0..k ──RequestQueue─────────────────────────────▶ Protocol
+//!      ▲  │                                                  │ ▲
+//!      │  └─RequestsReady────────────────────────────────┐   │ │ DispatcherQueue
+//!      │ per-thread reply queues                         │   │ │ (its one wait)
+//! ServiceManager ("Replica" thread) ◀──DecisionQueue─────┼───┘ │
+//!      └─SnapshotPublished───────────────────────────────┤     │
+//! ReplicaIORcv-p ──Message───────────────────────────────┴─────┘
 //! ReplicaIOSnd-p ◀──SendQueue-p── Protocol
-//! Protocol        (Tick every heartbeat/2: failure detection — §V-C3,
+//! Protocol        (batching — §V-C1, while the window has room;
+//!                  Tick every heartbeat/2: failure detection — §V-C3,
 //!                  retransmission — §V-C4)
 //! ```
 //!
@@ -27,9 +29,12 @@
 //! * **ReplicaIO** (§V-B): one sender + one receiver thread per peer,
 //!   blocking I/O, dedicated SendQueues so the Protocol thread never
 //!   blocks on a socket.
-//! * **ReplicationCore** (§V-C): Batcher and Protocol threads around the
-//!   pure [`smr_paxos::PaxosReplica`] state machine, under the no-lock
-//!   rule (queues and atomics). Failure detection (heartbeats, adaptive
+//! * **ReplicationCore** (§V-C): one Protocol thread around the pure
+//!   [`smr_paxos::PaxosReplica`] state machine, under the no-lock rule
+//!   (queues and atomics). It also forms batches, popping the
+//!   RequestQueue only while the pipelining window has room; the paper's
+//!   separate Batcher thread pays only once the Protocol thread saturates
+//!   a core (ARCHITECTURE.md). Failure detection (heartbeats, adaptive
 //!   suspicion, the leader's quorum check) and retransmission (resend
 //!   deadlines with backoff on undecided slots and on a pending Prepare)
 //!   run inside the core on the Protocol thread's periodic tick.

@@ -4,10 +4,11 @@
 //! connections. It owns an epoll instance (via the vendored `mio` shim)
 //! and a slab of connections; the slab index is the epoll token. Reads
 //! drain edge-triggered readiness through [`classify_frame`] into the
-//! RequestQueue, replies coalesce into per-connection outbound buffers
-//! flushed once per burst, and a slow reader gets a bounded overflow
-//! queue plus writable-interest re-arm instead of a blocking write. A
-//! reader whose overflow passes
+//! RequestQueue, and a pass that queued any request tells the Protocol
+//! thread once ([`Ctx::notify_requests`]). Replies coalesce into
+//! per-connection outbound buffers flushed once per burst, and a slow
+//! reader gets a bounded overflow queue plus writable-interest re-arm
+//! instead of a blocking write. A reader whose overflow passes
 //! [`EventedIoOptions::max_overflow_frames`] is dropped and counted in
 //! `clientio.overflow_drops`.
 //!
@@ -232,6 +233,8 @@ struct Slab {
     dirty: Vec<usize>,
     /// Connections that broke or overflowed, buried at the iteration's end.
     dead: Vec<usize>,
+    /// A request entered the RequestQueue this iteration.
+    pushed: bool,
 }
 
 impl Slab {
@@ -322,6 +325,7 @@ impl Slab {
                     }
                 }
                 FrameAction::Continue => {}
+                FrameAction::Queued => self.pushed = true,
                 FrameAction::Park(req) => {
                     st.pending = Some(req);
                     self.parked.push(slot);
@@ -439,6 +443,7 @@ pub(crate) fn run_client_io(ctx: &Ctx, index: usize, opts: &EventedIoOptions) {
             match ctx.request_q.try_push(req) {
                 Ok(()) => {
                     slab.parked.swap_remove(i);
+                    slab.pushed = true;
                 }
                 Err(PushError::Full(req)) => {
                     st.pending = Some(req);
@@ -466,6 +471,12 @@ pub(crate) fn run_client_io(ctx: &Ctx, index: usize, opts: &EventedIoOptions) {
                     slab.read_list.swap_remove(i);
                 }
             }
+        }
+
+        // One notice to the Protocol thread covers every request this
+        // iteration queued.
+        if std::mem::take(&mut slab.pushed) {
+            ctx.notify_requests();
         }
 
         // 5. Flush: one write burst per connection touched this
@@ -586,9 +597,10 @@ enum FrameAction {
     /// Write this pre-encoded frame (cache-hit reply or leader redirect)
     /// back to the client.
     Respond(Vec<u8>),
-    /// Nothing further: stale duplicate ignored or request accepted into
-    /// the RequestQueue.
+    /// Nothing further: stale duplicate ignored.
     Continue,
+    /// The request was accepted into the RequestQueue.
+    Queued,
     /// The RequestQueue is full (§V-E): hold the stamped request and stop
     /// reading this connection until it fits.
     Park((Request, u64)),
@@ -625,7 +637,7 @@ fn classify_frame(ctx: &Ctx, index: usize, conn_id: u64, frame: &[u8]) -> FrameA
     ctx.shared.bind_client(request.id.client, index, conn_id);
     let stamp = ctx.stage.stamp(&ctx.shared);
     match ctx.request_q.try_push((request, stamp)) {
-        Ok(()) => FrameAction::Continue,
+        Ok(()) => FrameAction::Queued,
         Err(PushError::Full(pending)) => FrameAction::Park(pending),
         Err(PushError::Closed(_)) => FrameAction::Drop,
     }

@@ -1,7 +1,8 @@
-//! ReplicationCore threads (§V-C): the Batcher, and the Protocol thread,
-//! which also runs failure detection (§V-C3) and retransmission (§V-C4).
+//! The ReplicationCore thread (§V-C): the Protocol thread, which also
+//! forms batches (§V-C1), runs failure detection (§V-C3) and
+//! retransmission (§V-C4).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -14,136 +15,17 @@ use smr_wire::{Batch, ProtocolMsg, Request};
 use super::stage::{batch_key, BatchStamp, IntakeMean, StageClock};
 use super::{Ctx, Decision, Input};
 
-/// Most requests the Batcher moves out of the RequestQueue per lock
-/// acquisition.
-const REQUEST_BURST: usize = 1024;
-
 /// Most inputs the Protocol thread drains from the DispatcherQueue
 /// between pipelining-window checks.
 const EVENT_BURST: usize = 256;
 
-/// The Batcher thread (§V-C1): drains the RequestQueue into batches
-/// according to the batching policy and feeds the ProposalQueue. Bursts
-/// move under one RequestQueue lock acquisition, and every batch they
-/// complete is handed to the ProposalQueue in one bulk push, followed by
-/// a wakeup of the Protocol thread ([`announce_proposal`]).
-///
-/// With a batch open the thread waits for requests until the batch's
-/// deadline; with none open nothing can time out, so it waits for the
-/// next request, and shutdown closes the RequestQueue to end that wait.
-///
-/// Each request arrives paired with its intake stamp; the mean of a
-/// batch's stamps becomes the batch's intake time, and sealing records
-/// the intake → sealed transition.
-pub(crate) fn run_batcher(ctx: &Ctx) {
-    let handle = ctx.metrics.register_thread("Batcher");
-    let mut builder = BatchBuilder::new(ctx.config.batch());
-    let mut burst: Vec<(Request, u64)> = Vec::new();
-    let mut completed: Vec<(Batch, BatchStamp)> = Vec::new();
-    // Intake stamps of the batch currently open in the builder.
-    let mut open_intake = IntakeMean::default();
-    loop {
-        let popped = match builder.next_deadline() {
-            Some(deadline) => {
-                let wait = deadline.saturating_sub(ctx.shared.now_ns()).max(1);
-                ctx.request_q.pop_wait_all_with(
-                    &mut burst,
-                    REQUEST_BURST,
-                    Duration::from_nanos(wait),
-                    &handle,
-                )
-            }
-            None => ctx.request_q.pop_with(&handle).map(|first| {
-                burst.push(first);
-                1 + ctx.request_q.try_pop_all(&mut burst).unwrap_or(0)
-            }),
-        };
-        match popped {
-            Ok(_) => {
-                let now = ctx.shared.now_ns();
-                for (req, intake_ns) in burst.drain(..) {
-                    let Some(batch) = builder.push(req, now) else {
-                        open_intake.add(intake_ns);
-                        continue;
-                    };
-                    // The request either closed the sealed batch or
-                    // overflowed it and opened the next one.
-                    let overflowed = builder.pending_len() > 0;
-                    if !overflowed {
-                        open_intake.add(intake_ns);
-                    }
-                    let stamp = BatchStamp {
-                        intake_ns: open_intake.take(),
-                        sealed_ns: now,
-                    };
-                    completed.push((batch, stamp));
-                    if overflowed {
-                        open_intake.add(intake_ns);
-                    }
-                }
-                if !completed.is_empty() {
-                    for (_, stamp) in &completed {
-                        ctx.stage.record_sealed(*stamp);
-                    }
-                    if ctx
-                        .proposal_q
-                        .push_many_with(completed.drain(..), &handle)
-                        .is_err()
-                        || announce_proposal(ctx, &handle).is_err()
-                    {
-                        return;
-                    }
-                }
-            }
-            Err(PopError::Empty) => {
-                let now = ctx.shared.now_ns();
-                if let Some(batch) = builder.poll_timeout(now) {
-                    let stamp = BatchStamp {
-                        intake_ns: open_intake.take(),
-                        sealed_ns: now,
-                    };
-                    ctx.stage.record_sealed(stamp);
-                    if ctx.proposal_q.push_with((batch, stamp), &handle).is_err()
-                        || announce_proposal(ctx, &handle).is_err()
-                    {
-                        return;
-                    }
-                }
-            }
-            Err(PopError::Closed) => return,
-        }
-    }
-}
-
-/// Wakes the Protocol thread after the Batcher pushed to the
-/// ProposalQueue, keeping at most one [`Input::ProposalReady`] queued.
-///
-/// No wakeup is lost. The Batcher sets `proposal_ready` *after* its
-/// push; the Protocol thread clears it when it handles the
-/// `ProposalReady`, and drains the ProposalQueue *after* that clear.
-/// Both are `SeqCst` read-modify-writes of the flag. If the swap below
-/// reads `false`, it queues a fresh `ProposalReady`. If it reads `true`,
-/// the `ProposalReady` queued by an earlier swap is not yet handled: its
-/// clear comes after this swap in the flag's order, reads this swap's
-/// write, and so the drain that follows the clear sees the batch pushed
-/// before it. A batch the drain leaves behind because the pipelining
-/// window is closed waits for the event that reopens the window, which
-/// every pass of the Protocol loop follows with a drain.
-///
-/// The push may block on a full DispatcherQueue, which only the Protocol
-/// thread drains, and the Protocol thread never waits for the Batcher.
-fn announce_proposal(ctx: &Ctx, handle: &ThreadHandle) -> Result<(), ()> {
-    if ctx.proposal_ready.swap(true, Ordering::SeqCst) {
-        return Ok(());
-    }
-    ctx.dispatcher_q
-        .push_with(Input::ProposalReady, handle)
-        .map_err(|_| ())
-}
-
 /// The Protocol thread (§V-C2): the single-threaded event loop around the
 /// pure Paxos state machine. Owns the log; everything it publishes goes
 /// through queues or the shared atomics.
+///
+/// It also forms the batches it proposes (§V-C1): it pops the
+/// RequestQueue only while the pipelining window has room, so with the
+/// window closed requests wait there and ClientIO parks on it (§V-E).
 ///
 /// It is also the failure detector (§V-C3) and the retransmitter
 /// (§V-C4): every `heartbeat_interval / 2` it hands the core an
@@ -151,11 +33,12 @@ fn announce_proposal(ctx: &Ctx, handle: &ThreadHandle) -> Result<(), ()> {
 /// Prepare messages, heartbeats idle links, suspects a silent leader and
 /// re-checks its own quorum.
 ///
-/// Its only wait is the DispatcherQueue pop, bounded by the next tick.
-/// Everything that has work for it pushes there: the ReplicaIO receivers
-/// (peer messages), the Batcher ([`Input::ProposalReady`]) and the
-/// ServiceManager ([`Input::SnapshotPublished`]). Shutdown closes the
-/// queue, which ends the wait at once.
+/// Its only wait is the DispatcherQueue pop, bounded by the next tick and
+/// by the open batch's deadline. Everything that has work for it pushes
+/// there: the ReplicaIO receivers (peer messages), ClientIO
+/// ([`Input::RequestsReady`]) and the ServiceManager
+/// ([`Input::SnapshotPublished`]). Shutdown closes the queue, which ends
+/// the wait at once.
 pub(crate) fn run_protocol(ctx: &Ctx) {
     let handle = ctx.metrics.register_thread("Protocol");
     // Every way out of the loop is shutdown.
@@ -173,6 +56,10 @@ fn protocol_loop(ctx: &Ctx, handle: &ThreadHandle) -> Result<(), ()> {
         deliveries: Vec::new(),
         pending_clocks: HashMap::new(),
         seen_watermark: Slot::ZERO,
+        builder: BatchBuilder::new(ctx.config.batch()),
+        open_intake: IntakeMean::default(),
+        sealed: VecDeque::new(),
+        burst: Vec::new(),
     };
     let mut inputs: Vec<Input> = Vec::new();
     state.handle(ctx, Event::Init)?;
@@ -185,35 +72,18 @@ fn protocol_loop(ctx: &Ctx, handle: &ThreadHandle) -> Result<(), ()> {
         if ctx.is_shutdown() {
             return Err(());
         }
-        // Pull proposals whenever the pipelining window has room. The
-        // Batcher prepares batches concurrently (§V-C1), so starting a new
-        // ballot is one queue pop, not a batch construction. This stays a
-        // per-item pop on purpose: the window check gates every proposal.
-        while state.core.window_open() {
-            match ctx.proposal_q.try_pop() {
-                Ok((batch, stamp)) => {
-                    if ctx.stage.enabled {
-                        let clock = ctx.stage.record_proposed(stamp, ctx.shared.now_ns());
-                        if let Some(key) = batch_key(&batch) {
-                            // window_open() held above, so handle() will
-                            // propose this batch immediately into
-                            // exactly next_slot() — tag the entry with
-                            // it so the watermark sweep can tell which
-                            // proposals a snapshot has overtaken.
-                            let slot = state.core.next_slot();
-                            state.pending_clocks.insert(key, (slot, clock));
-                        }
-                    }
-                    state.handle(ctx, Event::Proposal(batch))?;
-                    publish(ctx, &state.core);
-                }
-                Err(PopError::Empty) => break,
-                Err(PopError::Closed) => return Err(()),
-            }
+        // Clear the notice before popping the RequestQueue (see
+        // `Ctx::notify_requests`).
+        ctx.requests_ready.swap(false, Ordering::SeqCst);
+        state.fill_window(ctx)?;
+        // Wait for input until the next tick or the open batch's deadline
+        // is due, then drain it in bulk: one lock acquisition moves the
+        // whole burst.
+        let mut wait = next_tick.saturating_duration_since(Instant::now());
+        if let Some(deadline) = state.builder.next_deadline() {
+            let until = deadline.saturating_sub(ctx.shared.now_ns());
+            wait = wait.min(Duration::from_nanos(until));
         }
-        // Wait for input until the next tick is due, then drain it in
-        // bulk: one lock acquisition moves the whole burst.
-        let wait = next_tick.saturating_duration_since(Instant::now());
         match ctx
             .dispatcher_q
             .pop_wait_all_with(&mut inputs, EVENT_BURST, wait, handle)
@@ -231,11 +101,8 @@ fn protocol_loop(ctx: &Ctx, handle: &ThreadHandle) -> Result<(), ()> {
                         Input::Message { from, msg } => {
                             state.handle(ctx, Event::Message { from, msg })?;
                         }
-                        // The drain at the top of the next pass follows
-                        // this clear (see `announce_proposal`).
-                        Input::ProposalReady => {
-                            ctx.proposal_ready.swap(false, Ordering::SeqCst);
-                        }
+                        // The next pass pops the RequestQueue.
+                        Input::RequestsReady => {}
                         Input::SnapshotPublished => state.note_snapshot(ctx),
                     }
                 }
@@ -273,6 +140,16 @@ struct ProtocolState {
     pending_clocks: HashMap<RequestId, (Slot, StageClock)>,
     /// Watermark of the newest published snapshot the core has noted.
     seen_watermark: Slot,
+    /// Forms batches from the requests popped off the RequestQueue.
+    builder: BatchBuilder,
+    /// Intake stamps of the batch open in `builder`.
+    open_intake: IntakeMean,
+    /// Sealed batches the pipelining window could not take yet, oldest
+    /// first. At most one RequestQueue drain's worth.
+    sealed: VecDeque<(Batch, BatchStamp)>,
+    /// Scratch buffer for one RequestQueue drain, paired with intake
+    /// stamps.
+    burst: Vec<(Request, u64)>,
 }
 
 impl ProtocolState {
@@ -287,6 +164,89 @@ impl ProtocolState {
             &mut self.deliveries,
             &mut self.pending_clocks,
         )
+    }
+
+    /// Proposes while the pipelining window has room: first the sealed
+    /// batches that waited for it, then batches formed from the
+    /// RequestQueue, which is popped only while the window is open. An
+    /// open batch whose delay has expired is sealed first, window or not.
+    /// Returns `Err(())` when the replica is shutting down.
+    fn fill_window(&mut self, ctx: &Ctx) -> Result<(), ()> {
+        loop {
+            let now = ctx.shared.now_ns();
+            if let Some(batch) = self.builder.poll_timeout(now) {
+                self.seal(ctx, batch, now);
+            }
+            while self.core.window_open() {
+                let Some((batch, stamp)) = self.sealed.pop_front() else {
+                    break;
+                };
+                self.propose(ctx, batch, stamp)?;
+            }
+            if !self.core.window_open() {
+                return Ok(());
+            }
+            match ctx.request_q.try_pop_all(&mut self.burst) {
+                Ok(_) => self.batch_burst(ctx),
+                Err(PopError::Empty) => return Ok(()),
+                Err(PopError::Closed) => return Err(()),
+            }
+        }
+    }
+
+    /// Feeds the drained requests to the builder, sealing every batch
+    /// they complete. Each request arrives paired with its intake stamp;
+    /// the mean of a batch's stamps becomes the batch's intake time.
+    fn batch_burst(&mut self, ctx: &Ctx) {
+        let now = ctx.shared.now_ns();
+        let mut burst = std::mem::take(&mut self.burst);
+        for (req, intake_ns) in burst.drain(..) {
+            let Some(batch) = self.builder.push(req, now) else {
+                self.open_intake.add(intake_ns);
+                continue;
+            };
+            // The request either closed the sealed batch or overflowed
+            // it and opened the next one.
+            let overflowed = self.builder.pending_len() > 0;
+            if !overflowed {
+                self.open_intake.add(intake_ns);
+            }
+            self.seal(ctx, batch, now);
+            if overflowed {
+                self.open_intake.add(intake_ns);
+            }
+        }
+        self.burst = burst;
+    }
+
+    /// Stamps a just-sealed batch, records intake → sealed, and queues it
+    /// for the window.
+    fn seal(&mut self, ctx: &Ctx, batch: Batch, now: u64) {
+        let stamp = BatchStamp {
+            intake_ns: self.open_intake.take(),
+            sealed_ns: now,
+        };
+        ctx.stage.record_sealed(stamp);
+        self.sealed.push_back((batch, stamp));
+    }
+
+    /// Proposes `batch`. The caller has checked that the window is open.
+    /// Returns `Err(())` when the replica is shutting down.
+    fn propose(&mut self, ctx: &Ctx, batch: Batch, stamp: BatchStamp) -> Result<(), ()> {
+        if ctx.stage.enabled {
+            let clock = ctx.stage.record_proposed(stamp, ctx.shared.now_ns());
+            if let Some(key) = batch_key(&batch) {
+                // The window is open, so handle() proposes this batch
+                // into exactly next_slot(): tag the entry with it so the
+                // watermark sweep can tell which proposals a snapshot has
+                // overtaken.
+                let slot = self.core.next_slot();
+                self.pending_clocks.insert(key, (slot, clock));
+            }
+        }
+        self.handle(ctx, Event::Proposal(batch))?;
+        publish(ctx, &self.core);
+        Ok(())
     }
 
     /// Fast-forwards and compacts the log up to the newest snapshot the

@@ -24,7 +24,7 @@ use smr_types::{
 };
 use smr_wire::{Batch, ProtocolMsg, Reply, Request};
 
-use stage::{BatchStamp, StageClock, StageMetrics};
+use stage::{StageClock, StageMetrics};
 
 use crate::reply_cache::{ReplyCache, ShardedReplyCache};
 use crate::service::{ConflictAwareService, RecoverableService, Service, SharedSnapshotService};
@@ -41,9 +41,9 @@ use service_manager::{ServiceMode, SnapshotRig};
 pub(crate) enum Input {
     /// A decoded frame from a peer's ReplicaIO receiver.
     Message { from: ReplicaId, msg: ProtocolMsg },
-    /// The Batcher pushed to the ProposalQueue. Coalesced through
-    /// [`Ctx::proposal_ready`]: at most one is queued at a time.
-    ProposalReady,
+    /// ClientIO pushed to the RequestQueue. Coalesced through
+    /// [`Ctx::requests_ready`]: at most one is queued at a time.
+    RequestsReady,
     /// The ServiceManager published a newer snapshot to the
     /// [`SnapshotStore`].
     SnapshotPublished,
@@ -119,11 +119,9 @@ pub(crate) struct Ctx {
     /// Requests paired with their intake stamp (0 when stage metrics are
     /// off).
     pub request_q: BoundedQueue<(Request, u64)>,
-    /// Sealed batches paired with their intake/sealed stamps.
-    pub proposal_q: BoundedQueue<(Batch, BatchStamp)>,
-    /// Set while an [`Input::ProposalReady`] is queued and not yet
-    /// handled (see `core_threads::announce_proposal`).
-    pub proposal_ready: AtomicBool,
+    /// Set by ClientIO after it pushed requests, cleared by the Protocol
+    /// thread at the top of every pass (see [`Ctx::notify_requests`]).
+    pub requests_ready: AtomicBool,
     pub dispatcher_q: BoundedQueue<Input>,
     pub decision_q: BoundedQueue<Decision>,
     /// Newest snapshot (blob + watermark) this replica can serve.
@@ -174,6 +172,31 @@ impl Ctx {
 
     pub fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// Tells the Protocol thread that requests were pushed to the
+    /// RequestQueue, keeping at most one [`Input::RequestsReady`] queued.
+    /// ClientIO calls it once per loop pass in which it pushed. Never
+    /// blocks.
+    ///
+    /// No request is stranded. Both sides are `SeqCst` read-modify-writes
+    /// of `requests_ready`: ClientIO sets it *after* its pushes, and the
+    /// Protocol thread clears it at the top of every pass, *before* it
+    /// pops the RequestQueue. A clear that comes after the swap below in
+    /// the flag's order reads this swap's write (or a later one), so the
+    /// pop that follows it sees the requests. Otherwise the swap read the
+    /// last clear's `false` and queues a notice. An accepted notice starts
+    /// a pass whose clear comes after the swap. A notice a full
+    /// DispatcherQueue refuses is not needed: every pop the Protocol
+    /// thread made before that last clear happens before the swap, so the
+    /// queue is full of inputs it has yet to pop, and the pass that
+    /// follows them clears after the swap. Requests a pass leaves behind
+    /// because the pipelining window is closed wait for the event that
+    /// reopens it, and every event is followed by a pass.
+    pub fn notify_requests(&self) {
+        if !self.requests_ready.swap(true, Ordering::SeqCst) {
+            let _ = self.dispatcher_q.try_push(Input::RequestsReady);
+        }
     }
 
     /// Publishes `blob` and tells the Protocol thread, which compacts
@@ -473,8 +496,7 @@ impl ReplicaBuilder {
             stage,
             shutdown: AtomicBool::new(false),
             request_q: BoundedQueue::new("RequestQueue", config.request_queue_capacity()),
-            proposal_q: BoundedQueue::new("ProposalQueue", config.proposal_queue_capacity()),
-            proposal_ready: AtomicBool::new(false),
+            requests_ready: AtomicBool::new(false),
             dispatcher_q: BoundedQueue::new("DispatcherQueue", config.dispatcher_queue_capacity()),
             decision_q: BoundedQueue::new("DecisionQueue", config.decision_queue_capacity()),
             send_qs: (0..n)
@@ -499,7 +521,6 @@ impl ReplicaBuilder {
         // Register every pipeline queue for depth/watermark export
         // (Table I). The peer's own SendQueue slot is unused, so skip it.
         ctx.queues.register(ctx.request_q.probe());
-        ctx.queues.register(ctx.proposal_q.probe());
         ctx.queues.register(ctx.dispatcher_q.probe());
         ctx.queues.register(ctx.decision_q.probe());
         for (p, q) in ctx.send_qs.iter().enumerate() {
@@ -557,14 +578,7 @@ impl ReplicaBuilder {
                 Box::new(move || replica_io::run_receiver(&ctx2, peer)),
             ));
         }
-        // ReplicationCore threads (§V-C).
-        {
-            let ctx2 = Arc::clone(&ctx);
-            threads.push(spawn(
-                "Batcher".into(),
-                Box::new(move || core_threads::run_batcher(&ctx2)),
-            ));
-        }
+        // ReplicationCore (§V-C): one Protocol thread, which also batches.
         {
             let ctx2 = Arc::clone(&ctx);
             threads.push(spawn(
@@ -713,16 +727,6 @@ impl Replica {
         &self.ctx.metrics
     }
 
-    /// Instantaneous sizes of (RequestQueue, ProposalQueue,
-    /// DispatcherQueue) — the Table I quantities.
-    pub fn queue_lengths(&self) -> (usize, usize, usize) {
-        (
-            self.ctx.request_q.len(),
-            self.ctx.proposal_q.len(),
-            self.ctx.dispatcher_q.len(),
-        )
-    }
-
     /// Frames dropped on full SendQueues so far.
     pub fn send_drops(&self) -> u64 {
         self.ctx.send_drops.get()
@@ -769,7 +773,6 @@ impl Replica {
         drop(self.sampler.take()); // stop sampling before queues close
         self.ctx.shutdown.store(true, Ordering::Release);
         self.ctx.request_q.close();
-        self.ctx.proposal_q.close();
         self.ctx.dispatcher_q.close();
         self.ctx.decision_q.close();
         for q in &self.ctx.send_qs {

@@ -3,8 +3,8 @@
 //! A batch crosses the pipeline of Fig. 3 through fixed stage
 //! boundaries: request **intake** (ClientIO decodes it; a batch's
 //! intake is the mean over its requests) → batch
-//! **sealed** (Batcher closes the batch) → **proposed** (Protocol
-//! thread starts the ballot) → **decided** (consensus) → **executed**
+//! **sealed** (the Protocol thread closes the batch) → **proposed** (it
+//! starts the ballot) → **decided** (consensus) → **executed**
 //! (ServiceManager ran it) → **reply enqueued** (handed to ClientIO).
 //! Each boundary stamps the batch with [`SharedState::now_ns`], and
 //! each transition feeds one histogram here, giving the per-stage
@@ -19,13 +19,13 @@ use smr_types::RequestId;
 
 use crate::shared::SharedState;
 
-/// Stamps a batch carries from the Batcher to the Protocol thread.
+/// Stamps a sealed batch carries until the Protocol thread proposes it.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BatchStamp {
     /// Mean of the batch's requests' intake stamps (when each left its
     /// ClientIO thread; see [`IntakeMean`]).
     pub intake_ns: u64,
-    /// When the Batcher sealed the batch.
+    /// When the batch was sealed.
     pub sealed_ns: u64,
 }
 
@@ -35,7 +35,7 @@ pub(crate) struct BatchStamp {
 pub(crate) struct StageClock {
     /// Mean of the batch's requests' intake stamps.
     pub intake_ns: u64,
-    /// When the Batcher sealed the batch. Not consumed by a transition
+    /// When the batch was sealed. Not consumed by a transition
     /// (sealed→proposed is recorded before the clock is built) but
     /// carried so the clock is the complete stage record.
     #[allow(dead_code)]
@@ -55,10 +55,11 @@ pub(crate) struct StageMetrics {
     /// Whether stage stamping and recording is on. Off ⇒ every record_*
     /// call is a single branch.
     pub enabled: bool,
-    /// Request intake → batch sealed (Batcher queueing + fill time),
+    /// Request intake → batch sealed (RequestQueue wait + fill time),
     /// from the batch's mean intake.
     pub intake_to_sealed: SharedHistogram,
-    /// Batch sealed → proposed (ProposalQueue wait + window gating).
+    /// Batch sealed → proposed (window gating: a batch sealed while the
+    /// window was full waits for it to open).
     pub sealed_to_proposed: SharedHistogram,
     /// Proposed → decided (consensus round trips).
     pub proposed_to_decided: SharedHistogram,
@@ -168,8 +169,8 @@ impl StageMetrics {
     }
 }
 
-/// Running mean of the intake stamps of the requests in the Batcher's
-/// open batch. A sealed batch's intake time is the mean over its
+/// Running mean of the intake stamps of the requests in the Protocol
+/// thread's open batch. A sealed batch's intake time is the mean over its
 /// requests, so `stage.intake_to_sealed` and `stage.intake_to_reply`
 /// measure the average request of a batch rather than its oldest, and
 /// add up with the clients' mean latency.
@@ -222,7 +223,7 @@ mod tests {
 
     #[test]
     fn overflowing_request_opens_the_next_batch_mean() {
-        // The Batcher's order when a request overflows a sealed batch:
+        // The Protocol thread's order when a request overflows a sealed batch:
         // seal the open batch, then the request starts the next sum.
         let mut open = IntakeMean::default();
         open.add(100);

@@ -299,14 +299,15 @@ fn per_thread_profiles_are_collected() {
     }
     let snapshot = cluster.replica(ReplicaId(0)).metrics().snapshot();
     let names: Vec<&str> = snapshot.threads.iter().map(|t| t.name.as_str()).collect();
-    for expected in ["ClientIO-0", "Batcher", "Protocol", "Replica"] {
+    for expected in ["ClientIO-0", "Protocol", "Replica"] {
         assert!(
             names.contains(&expected),
             "profile for {expected} missing: {names:?}"
         );
     }
-    // Failure detection and retransmission run inside the Protocol
-    // thread.
+    // Batching, failure detection and retransmission run inside the
+    // Protocol thread.
+    assert!(!names.contains(&"Batcher"), "{names:?}");
     assert!(!names.contains(&"FailureDetector"), "{names:?}");
     assert!(!names.contains(&"Retransmitter"), "{names:?}");
     // The paper's key property: time is overwhelmingly waiting, not
@@ -332,11 +333,21 @@ fn duplicate_requests_execute_once() {
     cluster.shutdown();
 }
 
+/// The metrics snapshot exports the ReplicationCore's queues with their
+/// depths: requests go from the RequestQueue straight to the Protocol
+/// thread, so there is no ProposalQueue.
 #[test]
 fn queue_lengths_observable() {
     let cluster = InProcessCluster::start(small_config(3), |_| Box::new(NullService::new(8)));
-    let (rq, pq, dq) = cluster.replica(ReplicaId(0)).queue_lengths();
-    assert!(rq <= 1000 && pq <= 20 && dq <= 4096);
+    cluster.client().execute(&[1u8; 16]).unwrap();
+    let snapshot = cluster.replica(ReplicaId(0)).metrics_snapshot();
+    let names: Vec<&str> = snapshot.queues.iter().map(|q| q.name.as_str()).collect();
+    for expected in ["RequestQueue", "DispatcherQueue", "DecisionQueue"] {
+        let queue = snapshot.queue(expected);
+        let queue = queue.unwrap_or_else(|| panic!("{expected} missing: {names:?}"));
+        assert!(queue.depth <= queue.capacity, "{queue:?}");
+    }
+    assert!(!names.contains(&"ProposalQueue"), "{names:?}");
     cluster.shutdown();
 }
 
@@ -352,10 +363,11 @@ fn dispatcher_pop_waits(cluster: &InProcessCluster, id: ReplicaId) -> u64 {
         .pop_waits
 }
 
-/// An idle Protocol thread wakes for its ticks (every
-/// `heartbeat_interval / 2`, 10 ms by default) and for heartbeats, not
-/// on a fixed short park: over one second each replica's DispatcherQueue
-/// pop waits at most 400 times (a 1 ms park would wait ~1000 times).
+/// An idle Protocol thread has no open batch whose deadline could bound
+/// its wait, so it wakes for its ticks (every `heartbeat_interval / 2`,
+/// 10 ms by default) and for heartbeats, not on a fixed short park: over
+/// one second each replica's DispatcherQueue pop waits at most 400 times
+/// (a 1 ms park would wait ~1000 times).
 #[test]
 fn idle_protocol_thread_wakes_for_ticks_not_a_short_park() {
     let cluster = InProcessCluster::start(ClusterConfig::new(3), |_| Box::new(NullService::new(8)));
@@ -378,11 +390,12 @@ fn idle_protocol_thread_wakes_for_ticks_not_a_short_park() {
     cluster.shutdown();
 }
 
-/// The Batcher wakes the Protocol thread when it hands over a batch. With
-/// a 400 ms heartbeat the Protocol thread ticks every 200 ms, and on an
-/// idle cluster nothing else would wake it: a request whose batch waited
-/// for the tick would take 100 ms on average. Sequential requests must
-/// instead come back in a small fraction of a tick.
+/// ClientIO wakes the Protocol thread when it queues a request, and the
+/// open batch's deadline bounds the Protocol thread's wait. With a 400 ms
+/// heartbeat the Protocol thread ticks every 200 ms, and on an idle
+/// cluster nothing else would wake it: a request that waited for the tick
+/// would take 100 ms on average. Sequential requests must instead come
+/// back in a small fraction of a tick.
 #[test]
 fn proposals_wake_the_protocol_thread_between_ticks() {
     let config = ClusterConfig::builder(3)
@@ -403,6 +416,50 @@ fn proposals_wake_the_protocol_thread_between_ticks() {
         client.execute(&[2u8; 16]).unwrap();
     }
     let mean = started.elapsed() / rounds;
+    assert!(
+        mean < Duration::from_millis(50),
+        "mean round trip {mean:?} against a 200 ms tick"
+    );
+    cluster.shutdown();
+}
+
+/// A DispatcherQueue of capacity 1 is often full of peer messages, so it
+/// refuses many of ClientIO's request notices. None may strand a request:
+/// the Protocol thread clears the notice flag at the top of every pass,
+/// and a full queue means a pass is coming. A stranded request would wait
+/// for the 200 ms tick; four concurrent clients must instead see a mean
+/// round trip far below it.
+#[test]
+fn refused_request_notices_strand_no_request() {
+    let config = ClusterConfig::builder(3)
+        .heartbeat_interval(Duration::from_millis(400))
+        .suspect_timeout(Duration::from_secs(2))
+        .dispatcher_queue_capacity(1)
+        .batch(BatchPolicy {
+            timeout: Duration::from_millis(1),
+            ..BatchPolicy::default()
+        })
+        .build()
+        .unwrap();
+    let cluster = InProcessCluster::start(config, |_| Box::new(NullService::new(8)));
+    cluster.client().execute(&[1u8; 16]).unwrap();
+    let (clients, rounds) = (4u32, 200u32);
+    let total: Duration = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..clients)
+            .map(|_| {
+                let mut client = cluster.client();
+                s.spawn(move || {
+                    let started = Instant::now();
+                    for _ in 0..rounds {
+                        client.execute(&[2u8; 16]).unwrap();
+                    }
+                    started.elapsed()
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).sum()
+    });
+    let mean = total / (clients * rounds);
     assert!(
         mean < Duration::from_millis(50),
         "mean round trip {mean:?} against a 200 ms tick"

@@ -1,10 +1,11 @@
-//! Pure batch-formation policy (the logic run by the Batcher thread).
+//! Pure batch-formation policy.
 //!
-//! §V-C1: the Batcher takes requests from the RequestQueue, forms batches
-//! according to the batching policy (`BSZ` bytes or a timeout), and puts
-//! them on the ProposalQueue. The *policy* is pure and lives here; the
-//! thread around it lives in `smr-core` (and a simulated counterpart in
-//! `smr-sim-jpaxos`).
+//! §V-C1: requests taken from the RequestQueue are formed into batches
+//! according to the batching policy (`BSZ` bytes or a timeout). The
+//! *policy* is pure and lives here. In `smr-core` the Protocol thread runs
+//! it, popping requests only while the pipelining window has room and
+//! proposing each batch it seals; `smr-sim-jpaxos` runs it on a simulated
+//! Batcher thread that feeds a ProposalQueue, as JPaxos does.
 
 use smr_types::BatchPolicy;
 use smr_wire::{Batch, Request};
@@ -90,21 +91,6 @@ impl BatchBuilder {
             completed = self.flush();
         }
         completed
-    }
-
-    /// Adds a whole burst of requests, appending every batch the burst
-    /// completes to `out` (the Batcher's reusable buffer — the bulk
-    /// counterpart of [`BatchBuilder::push`] for drains of the
-    /// RequestQueue).
-    pub fn push_all<I>(&mut self, reqs: I, now_ns: u64, out: &mut Vec<Batch>)
-    where
-        I: IntoIterator<Item = Request>,
-    {
-        for req in reqs {
-            if let Some(batch) = self.push(req, now_ns) {
-                out.push(batch);
-            }
-        }
     }
 
     /// Closes and returns the pending batch if its timeout expired.
@@ -223,27 +209,6 @@ mod tests {
             Some(7 + 5_000_000),
             "deadline is from batch open"
         );
-    }
-
-    #[test]
-    fn push_all_matches_scalar_pushes() {
-        let mut scalar = BatchBuilder::new(policy(1300));
-        let mut bulk = BatchBuilder::new(policy(1300));
-        let reqs: Vec<Request> = (0..17).map(|i| req(i, 128)).collect();
-        let mut scalar_out = Vec::new();
-        for r in reqs.clone() {
-            if let Some(b) = scalar.push(r, 42) {
-                scalar_out.push(b);
-            }
-        }
-        let mut bulk_out = Vec::new();
-        bulk.push_all(reqs, 42, &mut bulk_out);
-        assert_eq!(bulk_out.len(), scalar_out.len());
-        for (b, s) in bulk_out.iter().zip(&scalar_out) {
-            assert_eq!(b.len(), s.len());
-        }
-        assert_eq!(bulk.pending_len(), scalar.pending_len());
-        assert_eq!(bulk.pending_bytes(), scalar.pending_bytes());
     }
 
     #[test]

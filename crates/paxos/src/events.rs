@@ -4,12 +4,12 @@ use smr_types::{ReplicaId, Slot, SnapshotBlob, View};
 use smr_wire::{Batch, ProtocolMsg};
 
 /// An input to [`crate::PaxosReplica::handle`] — one item popped from the
-/// Protocol thread's DispatcherQueue (or ProposalQueue).
+/// Protocol thread's DispatcherQueue, or a batch it sealed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
     /// Emitted once at startup, before any other event.
     Init,
-    /// A batch produced by the Batcher, ready to be proposed. Callers
+    /// A sealed batch, ready to be proposed. Callers
     /// should only submit proposals while [`crate::PaxosReplica::window_open`]
     /// returns true (flow control); the core buffers a small number of
     /// excess proposals and drops the rest when not leading.

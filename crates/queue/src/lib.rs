@@ -1,9 +1,10 @@
 //! Instrumented bounded queues — the connective tissue of the threading
 //! architecture.
 //!
-//! Every arrow in the paper's Fig. 3 (RequestQueue, ProposalQueue,
-//! DispatcherQueue, DecisionQueue, per-peer SendQueues, per-client reply
-//! queues) is one of these queues. Two properties matter:
+//! Every arrow of the replica's pipeline (RequestQueue, DispatcherQueue,
+//! DecisionQueue, per-peer SendQueues, per-client reply queues; the
+//! paper's Fig. 3 also has a ProposalQueue) is one of these queues. Two
+//! properties matter:
 //!
 //! 1. **Backpressure** (§V-E): queues are bounded, so a slow stage fills
 //!    its input queue and stalls the stage before it, all the way to the

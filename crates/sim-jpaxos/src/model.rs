@@ -66,6 +66,10 @@ pub(crate) const REPLY_BYTES: usize = 37;
 /// Protocol thread on the ProposalQueue.
 const QUEUE_CS_NS: u64 = 800;
 
+/// Capacity of JPaxos's ProposalQueue (Batcher → Protocol), as the paper
+/// measured it (Table I).
+const PROPOSAL_QUEUE_CAPACITY: usize = 20;
+
 /// Protocol-level statistics collected at the leader's Protocol thread.
 #[derive(Debug, Default)]
 pub(crate) struct ProtoStats {
@@ -113,7 +117,7 @@ pub(crate) fn spawn_replica(
 ) -> ReplicaHandles {
     let cfg = &p.config;
     let request_q = SimQueue::new(ctx, "RequestQueue", cfg.request_queue_capacity());
-    let proposal_q = SimQueue::new(ctx, "ProposalQueue", cfg.proposal_queue_capacity());
+    let proposal_q = SimQueue::new(ctx, "ProposalQueue", PROPOSAL_QUEUE_CAPACITY);
     let dispatcher_q: SimQueue<Dispatch> =
         SimQueue::new(ctx, "DispatcherQueue", cfg.dispatcher_queue_capacity());
     let decision_q: SimQueue<(u64, Batch)> =

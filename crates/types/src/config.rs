@@ -11,8 +11,8 @@ use std::time::Duration;
 use crate::error::ConfigError;
 use crate::ids::ReplicaId;
 
-/// Batching policy: the conditions under which the Batcher closes the batch
-/// it is building and hands it to the Protocol thread.
+/// Batching policy: the conditions under which the Protocol thread closes
+/// the batch it is building and proposes it.
 ///
 /// Mirrors §III-B of the paper: a batch is proposed when it reaches the
 /// maximum size (`max_bytes`, the paper's `BSZ`) or its timeout expires.
@@ -126,7 +126,6 @@ pub struct ClusterConfig {
     retransmit: RetransmitPolicy,
     client_io_threads: usize,
     request_queue_capacity: usize,
-    proposal_queue_capacity: usize,
     dispatcher_queue_capacity: usize,
     decision_queue_capacity: usize,
     send_queue_capacity: usize,
@@ -160,7 +159,6 @@ impl ClusterConfig {
                 retransmit: RetransmitPolicy::default(),
                 client_io_threads: 4,
                 request_queue_capacity: 1000,
-                proposal_queue_capacity: 20,
                 dispatcher_queue_capacity: 4096,
                 decision_queue_capacity: 1024,
                 send_queue_capacity: 4096,
@@ -208,14 +206,9 @@ impl ClusterConfig {
         self.client_io_threads
     }
 
-    /// Capacity of the RequestQueue (ClientIO → Batcher).
+    /// Capacity of the RequestQueue (ClientIO → Protocol).
     pub fn request_queue_capacity(&self) -> usize {
         self.request_queue_capacity
-    }
-
-    /// Capacity of the ProposalQueue (Batcher → Protocol).
-    pub fn proposal_queue_capacity(&self) -> usize {
-        self.proposal_queue_capacity
     }
 
     /// Capacity of the DispatcherQueue (everyone → Protocol).
@@ -319,12 +312,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Sets the ProposalQueue capacity.
-    pub fn proposal_queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.proposal_queue_capacity = capacity;
-        self
-    }
-
     /// Sets the DispatcherQueue capacity.
     pub fn dispatcher_queue_capacity(mut self, capacity: usize) -> Self {
         self.config.dispatcher_queue_capacity = capacity;
@@ -391,7 +378,6 @@ impl ClusterConfigBuilder {
         }
         for (name, cap) in [
             ("request_queue_capacity", c.request_queue_capacity),
-            ("proposal_queue_capacity", c.proposal_queue_capacity),
             ("dispatcher_queue_capacity", c.dispatcher_queue_capacity),
             ("decision_queue_capacity", c.decision_queue_capacity),
             ("send_queue_capacity", c.send_queue_capacity),
@@ -429,7 +415,6 @@ mod tests {
         assert_eq!(c.window(), 10);
         assert_eq!(c.batch().max_bytes, 1300);
         assert_eq!(c.request_queue_capacity(), 1000);
-        assert_eq!(c.proposal_queue_capacity(), 20);
     }
 
     #[test]

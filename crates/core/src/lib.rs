@@ -7,7 +7,7 @@
 //! ```text
 //! ClientIO-0..k ──RequestQueue─────────────────────────────▶ Protocol
 //!      ▲  │                                                  │ ▲
-//!      │  └─RequestsReady────────────────────────────────┐   │ │ DispatcherQueue
+//!      │  └─RequestsReady (about once per batch)─────────┐   │ │ DispatcherQueue
 //!      │ per-thread reply queues                         │   │ │ (its one wait)
 //! ServiceManager ("Replica" thread) ◀──DecisionQueue─────┼───┘ │
 //!      └─SnapshotPublished───────────────────────────────┤     │
@@ -18,12 +18,17 @@
 //!                  retransmission — §V-C4)
 //! ```
 //!
+//! The ClientIO pool has one thread (`k = 0`) unless configured
+//! otherwise.
+//!
 //! Module-by-module correspondence with the paper:
 //!
-//! * **ClientIO** (§V-A): a configurable pool of threads, each running
-//!   one epoll readiness loop over a subset of client connections
-//!   (round-robin assignment), doing decode/encode, reply-cache probes,
-//!   and redirects. Never blocks on a full RequestQueue — it pauses
+//! * **ClientIO** (§V-A): a configurable pool of threads (one by
+//!   default), each running one epoll readiness loop over a subset of
+//!   client connections (round-robin assignment), doing decode/encode,
+//!   reply-cache probes, and redirects. TCP sockets and the in-memory
+//!   connections' eventfds wake it; it wakes the Protocol thread only
+//!   when no batch is open or the queued requests could fill it. Never blocks on a full RequestQueue — it pauses
 //!   *reading* instead, which is what lets TCP backpressure propagate to
 //!   clients (§V-E) without deadlock — nor on a slow reader's socket.
 //! * **ReplicaIO** (§V-B): one sender + one receiver thread per peer,

@@ -4,19 +4,28 @@
 //! connections. It owns an epoll instance (via the vendored `mio` shim)
 //! and a slab of connections; the slab index is the epoll token. Reads
 //! drain edge-triggered readiness through [`classify_frame`] into the
-//! RequestQueue, and a pass that queued any request tells the Protocol
-//! thread once ([`Ctx::notify_requests`]). Replies coalesce into
-//! per-connection outbound buffers flushed once per burst, and a slow
-//! reader gets a bounded overflow queue plus writable-interest re-arm
-//! instead of a blocking write. A reader whose overflow passes
+//! RequestQueue, and a pass that queued any request hands the decision
+//! to tell the Protocol thread to [`Ctx::notify_requests`], which sends
+//! at most one notice per batch. Replies coalesce into per-connection
+//! outbound buffers flushed once per burst, and a slow reader gets a
+//! bounded overflow queue plus writable-interest re-arm instead of a
+//! blocking write. A reader whose overflow passes
 //! [`EventedIoOptions::max_overflow_frames`] is dropped and counted in
 //! `clientio.overflow_drops`.
 //!
-//! Connections without a file descriptor (the in-memory transport) are
-//! scanned every [`EventedIoOptions::tick`]. Where epoll is unavailable
-//! (non-Linux targets, or `epoll_create1` fails) the same loop runs with
-//! no poller: every connection is scanned that way, and the wait step
-//! sleeps one tick.
+//! A TCP connection registers its socket. An in-memory connection
+//! registers its eventfd, which the client half writes when it queues a
+//! frame on an empty queue, frees room in a full one, or hangs up (see
+//! `smr_net::memory::MemoryClientEndpoint`). An eventfd is always
+//! writable, so a memory connection with a backlog is not armed for
+//! writable; its reader's next pop rings it, and any edge on a
+//! connection with a backlog retries the flush.
+//!
+//! Connections without a file descriptor (an in-memory connection with
+//! no eventfd) are scanned every [`EventedIoOptions::tick`]. Where epoll
+//! is unavailable (non-Linux targets, or `epoll_create1` fails) the same
+//! loop runs with no poller: every connection is scanned that way, and
+//! the wait step sleeps one tick.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::OnceLock;
@@ -53,9 +62,9 @@ pub struct EventedIoOptions {
     /// before the connection is dropped.
     pub max_overflow_frames: usize,
     /// Wait bound while work that produces no readiness event is
-    /// outstanding: fd-less (in-memory) connections to scan, parked
-    /// requests waiting for RequestQueue space, or fd-less flush retries.
-    /// Without epoll, every wait is one tick.
+    /// outstanding: fd-less connections to scan, parked requests waiting
+    /// for RequestQueue space, or fd-less flush retries. Without epoll,
+    /// every wait is one tick.
     pub tick: Duration,
 }
 
@@ -183,23 +192,28 @@ impl Conn {
         }
     }
 
-    /// Moves overflow into the transport buffer and flushes it.
+    /// Moves overflow into the transport buffer and flushes it, until
+    /// both are empty or the transport stops taking frames.
     /// `Ok(true)` = everything drained, `Ok(false)` = backlog remains
-    /// (socket full), `Err(())` = connection broke.
+    /// (socket or in-memory queue full), `Err(())` = connection broke.
     fn flush(&mut self, opts: &EventedIoOptions) -> Result<bool, ()> {
-        while let Some(frame) = self.overflow.pop_front() {
-            match self.conn.try_send(frame, opts.max_outbound_bytes) {
-                Ok(None) => {}
-                Ok(Some(refused)) => {
-                    self.overflow.push_front(refused);
-                    break;
+        loop {
+            let mut moved = false;
+            while let Some(frame) = self.overflow.pop_front() {
+                match self.conn.try_send(frame, opts.max_outbound_bytes) {
+                    Ok(None) => moved = true,
+                    Ok(Some(refused)) => {
+                        self.overflow.push_front(refused);
+                        break;
+                    }
+                    Err(_) => return Err(()),
                 }
-                Err(_) => return Err(()),
             }
-        }
-        match self.conn.flush_out() {
-            Ok(drained) => Ok(drained && self.overflow.is_empty()),
-            Err(_) => Err(()),
+            let drained = self.conn.flush_out().map_err(|_| ())?;
+            // A socket that drained its buffer takes the next frames.
+            if !drained || !moved || self.overflow.is_empty() {
+                return Ok(drained && self.overflow.is_empty());
+            }
         }
     }
 }
@@ -440,7 +454,7 @@ pub(crate) fn run_client_io(ctx: &Ctx, index: usize, opts: &EventedIoOptions) {
                 slab.parked.swap_remove(i);
                 continue;
             };
-            match ctx.request_q.try_push(req) {
+            match ctx.queue_request(req) {
                 Ok(()) => {
                     slab.parked.swap_remove(i);
                     slab.pushed = true;
@@ -473,8 +487,8 @@ pub(crate) fn run_client_io(ctx: &Ctx, index: usize, opts: &EventedIoOptions) {
             }
         }
 
-        // One notice to the Protocol thread covers every request this
-        // iteration queued.
+        // At most one notice covers every request this iteration queued,
+        // and none is sent while they join the open batch.
         if std::mem::take(&mut slab.pushed) {
             ctx.notify_requests();
         }
@@ -495,7 +509,10 @@ pub(crate) fn run_client_io(ctx: &Ctx, index: usize, opts: &EventedIoOptions) {
                     }
                 }
                 (Ok(false), Some(fd)) => {
-                    if !st.writable_armed {
+                    // Without a backlog of its own the transport is an
+                    // in-memory queue, always writable by epoll's
+                    // account: its reader's next pop rings the fd.
+                    if !st.writable_armed && st.conn.has_backlog() {
                         // Socket full: re-arm instead of blocking. The
                         // MOD delivers an edge even if the socket became
                         // writable in between.
@@ -562,7 +579,9 @@ pub(crate) fn run_client_io(ctx: &Ctx, index: usize, opts: &EventedIoOptions) {
                 st.readable = true;
                 slab.read_list.push(slot);
             }
-            if ev.is_writable() && !st.needs_flush {
+            // An edge on a connection with a backlog may mean its reader
+            // made room (an in-memory reader rings on a pop).
+            if (ev.is_writable() || !st.overflow.is_empty()) && !st.needs_flush {
                 st.needs_flush = true;
                 slab.dirty.push(slot);
             }
@@ -636,7 +655,7 @@ fn classify_frame(ctx: &Ctx, index: usize, conn_id: u64, frame: &[u8]) -> FrameA
     // Remember how to route the reply back (§V-D hand-over).
     ctx.shared.bind_client(request.id.client, index, conn_id);
     let stamp = ctx.stage.stamp(&ctx.shared);
-    match ctx.request_q.try_push((request, stamp)) {
+    match ctx.queue_request((request, stamp)) {
         Ok(()) => FrameAction::Queued,
         Err(PushError::Full(pending)) => FrameAction::Park(pending),
         Err(PushError::Closed(_)) => FrameAction::Drop,

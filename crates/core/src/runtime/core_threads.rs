@@ -168,29 +168,37 @@ impl ProtocolState {
 
     /// Proposes while the pipelining window has room: first the sealed
     /// batches that waited for it, then batches formed from the
-    /// RequestQueue, which is popped only while the window is open. An
-    /// open batch whose delay has expired is sealed first, window or not.
-    /// Returns `Err(())` when the replica is shutting down.
+    /// RequestQueue, which is popped only while the window is open. Each
+    /// pop is preceded by a store of the open batch's room, which
+    /// ClientIO reads to decide whether its requests need a notice (see
+    /// `Ctx::notify_requests`). An open batch whose delay has expired is
+    /// sealed, window or not, but only after the pop, so that requests
+    /// queued without a notice join it. Returns `Err(())` when the replica
+    /// is shutting down.
     fn fill_window(&mut self, ctx: &Ctx) -> Result<(), ()> {
         loop {
-            let now = ctx.shared.now_ns();
-            if let Some(batch) = self.builder.poll_timeout(now) {
-                self.seal(ctx, batch, now);
-            }
             while self.core.window_open() {
                 let Some((batch, stamp)) = self.sealed.pop_front() else {
                     break;
                 };
                 self.propose(ctx, batch, stamp)?;
             }
-            if !self.core.window_open() {
+            if self.core.window_open() {
+                ctx.batch_gauge.publish(&self.builder);
+                match ctx.request_q.try_pop_all(&mut self.burst) {
+                    Ok(_) => {
+                        self.batch_burst(ctx);
+                        continue;
+                    }
+                    Err(PopError::Empty) => {}
+                    Err(PopError::Closed) => return Err(()),
+                }
+            }
+            let now = ctx.shared.now_ns();
+            let Some(batch) = self.builder.poll_timeout(now) else {
                 return Ok(());
-            }
-            match ctx.request_q.try_pop_all(&mut self.burst) {
-                Ok(_) => self.batch_burst(ctx),
-                Err(PopError::Empty) => return Ok(()),
-                Err(PopError::Closed) => return Err(()),
-            }
+            };
+            self.seal(ctx, batch, now);
         }
     }
 
@@ -200,6 +208,8 @@ impl ProtocolState {
     fn batch_burst(&mut self, ctx: &Ctx) {
         let now = ctx.shared.now_ns();
         let mut burst = std::mem::take(&mut self.burst);
+        let bytes = burst.iter().map(|(req, _)| req.wire_size()).sum();
+        ctx.batch_gauge.popped(burst.len(), bytes);
         for (req, intake_ns) in burst.drain(..) {
             let Some(batch) = self.builder.push(req, now) else {
                 self.open_intake.add(intake_ns);

@@ -7,7 +7,7 @@ mod service_manager;
 mod stage;
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -16,8 +16,8 @@ use parking_lot::Mutex;
 
 use smr_metrics::{Counter, MetricsRegistry, MetricsSnapshot, ThreadState};
 use smr_net::{ClientConn, ClientListener, ReplicaNetwork};
-use smr_paxos::Target;
-use smr_queue::{BoundedQueue, DepthSampler, QueueRegistry};
+use smr_paxos::{BatchBuilder, Target};
+use smr_queue::{BoundedQueue, DepthSampler, PushError, QueueRegistry};
 use smr_storage::Storage;
 use smr_types::{
     ClusterConfig, CompactionPolicy, ConfigError, ReplicaId, Slot, SmrError, SnapshotBlob,
@@ -41,7 +41,8 @@ use service_manager::{ServiceMode, SnapshotRig};
 pub(crate) enum Input {
     /// A decoded frame from a peer's ReplicaIO receiver.
     Message { from: ReplicaId, msg: ProtocolMsg },
-    /// ClientIO pushed to the RequestQueue. Coalesced through
+    /// ClientIO pushed requests the Protocol thread should pop now (see
+    /// [`Ctx::notify_requests`]). Coalesced through
     /// [`Ctx::requests_ready`]: at most one is queued at a time.
     RequestsReady,
     /// The ServiceManager published a newer snapshot to the
@@ -103,6 +104,56 @@ impl SnapshotStore {
     }
 }
 
+/// What ClientIO reads to decide whether the requests it queued merit a
+/// notice (see [`Ctx::notify_requests`]): the RequestQueue's contents and
+/// the room left in the Protocol thread's open batch.
+#[derive(Default)]
+pub(crate) struct BatchGauge {
+    /// Requests in the RequestQueue, or about to enter it. ClientIO adds
+    /// before it pushes and takes back a refused push; the Protocol
+    /// thread subtracts what it pops.
+    queued_requests: AtomicUsize,
+    /// The wire bytes of those requests.
+    queued_bytes: AtomicUsize,
+    /// Room left in the open batch as `requests << 32 | bytes`, each
+    /// saturated at `u32::MAX`, or 0 when no batch is open. An open batch
+    /// always has room for one more request and one more byte, so it
+    /// never reads 0. The Protocol thread stores it before every
+    /// RequestQueue pop.
+    room: AtomicU64,
+}
+
+impl BatchGauge {
+    /// Publishes the room left in `builder`'s open batch.
+    pub fn publish(&self, builder: &BatchBuilder) {
+        let room = if builder.pending_len() == 0 {
+            0
+        } else {
+            let policy = builder.policy();
+            let saturate = |n: usize| u64::from(u32::try_from(n).unwrap_or(u32::MAX));
+            let requests = saturate(policy.max_requests.saturating_sub(builder.pending_len()));
+            let bytes = saturate(policy.max_bytes.saturating_sub(builder.pending_bytes()));
+            requests << 32 | bytes
+        };
+        self.room.store(room, Ordering::SeqCst);
+    }
+
+    /// Counts requests the Protocol thread popped.
+    pub fn popped(&self, requests: usize, bytes: usize) {
+        self.queued_requests.fetch_sub(requests, Ordering::SeqCst);
+        self.queued_bytes.fetch_sub(bytes, Ordering::SeqCst);
+    }
+
+    /// Whether no batch is open, or the queued requests could complete
+    /// the open one by count or by bytes.
+    fn needs_notice(&self) -> bool {
+        let room = self.room.load(Ordering::SeqCst);
+        room == 0
+            || self.queued_requests.load(Ordering::SeqCst) as u64 >= room >> 32
+            || self.queued_bytes.load(Ordering::SeqCst) as u64 >= room & u64::from(u32::MAX)
+    }
+}
+
 /// Everything the replica's threads share.
 pub(crate) struct Ctx {
     pub me: ReplicaId,
@@ -119,9 +170,13 @@ pub(crate) struct Ctx {
     /// Requests paired with their intake stamp (0 when stage metrics are
     /// off).
     pub request_q: BoundedQueue<(Request, u64)>,
-    /// Set by ClientIO after it pushed requests, cleared by the Protocol
-    /// thread at the top of every pass (see [`Ctx::notify_requests`]).
+    /// Set by ClientIO when it sends a request notice, cleared by the
+    /// Protocol thread at the top of every pass (see
+    /// [`Ctx::notify_requests`]).
     pub requests_ready: AtomicBool,
+    /// The RequestQueue's contents and the open batch's room, which
+    /// decide whether a request notice is sent.
+    pub batch_gauge: BatchGauge,
     pub dispatcher_q: BoundedQueue<Input>,
     pub decision_q: BoundedQueue<Decision>,
     /// Newest snapshot (blob + watermark) this replica can serve.
@@ -174,27 +229,63 @@ impl Ctx {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Tells the Protocol thread that requests were pushed to the
-    /// RequestQueue, keeping at most one [`Input::RequestsReady`] queued.
-    /// ClientIO calls it once per loop pass in which it pushed. Never
-    /// blocks.
+    /// Pushes a stamped request to the RequestQueue without blocking,
+    /// counting it in [`Ctx::batch_gauge`] before the push can be seen
+    /// and taking the count back if the push is refused: counted after
+    /// the push, a request the Protocol thread pops at once would drive
+    /// the count below zero.
+    pub fn queue_request(&self, item: (Request, u64)) -> Result<(), PushError<(Request, u64)>> {
+        let bytes = item.0.wire_size();
+        let gauge = &self.batch_gauge;
+        gauge.queued_requests.fetch_add(1, Ordering::SeqCst);
+        gauge.queued_bytes.fetch_add(bytes, Ordering::SeqCst);
+        let pushed = self.request_q.try_push(item);
+        if pushed.is_err() {
+            gauge.popped(1, bytes);
+        }
+        pushed
+    }
+
+    /// Tells the Protocol thread about the requests ClientIO queued, when
+    /// it needs telling: only if no batch is open, or the queued requests
+    /// could complete the open batch by `max_requests` or `max_bytes`.
+    /// Otherwise the requests join the open batch when its deadline
+    /// wakes the Protocol thread. ClientIO calls it once per loop pass in
+    /// which it pushed, after the pushes. It never blocks, and it keeps
+    /// at most one [`Input::RequestsReady`] queued.
     ///
-    /// No request is stranded. Both sides are `SeqCst` read-modify-writes
-    /// of `requests_ready`: ClientIO sets it *after* its pushes, and the
-    /// Protocol thread clears it at the top of every pass, *before* it
-    /// pops the RequestQueue. A clear that comes after the swap below in
-    /// the flag's order reads this swap's write (or a later one), so the
-    /// pop that follows it sees the requests. Otherwise the swap read the
-    /// last clear's `false` and queues a notice. An accepted notice starts
-    /// a pass whose clear comes after the swap. A notice a full
-    /// DispatcherQueue refuses is not needed: every pop the Protocol
-    /// thread made before that last clear happens before the swap, so the
-    /// queue is full of inputs it has yet to pop, and the pass that
-    /// follows them clears after the swap. Requests a pass leaves behind
-    /// because the pipelining window is closed wait for the event that
-    /// reopens it, and every event is followed by a pass.
+    /// No request is stranded. Every access below, the counts and the
+    /// push in [`Ctx::queue_request`], and the Protocol thread's store of
+    /// the room and its RequestQueue pop are `SeqCst`, and the Protocol
+    /// thread stores the room before every pop (`fill_window`). So if the
+    /// room read here misses one of those stores, the pop that follows
+    /// that store sees the pushed requests. Two claims follow.
+    ///
+    /// - A request queued without a notice is popped no later than the
+    ///   open batch's deadline, into that batch. No notice means the room
+    ///   read here showed a batch open, and every pop after the one that
+    ///   followed that room's store sees the request. If the batch is
+    ///   sealed by size first, the same pass stores the new room and pops
+    ///   again. Otherwise the batch's deadline ends the Protocol thread's
+    ///   wait at the latest, and that pass pops *before* it seals on the
+    ///   deadline. If the pipelining window is closed then, the request
+    ///   waits for the event that reopens it, like every other request,
+    ///   and every event is followed by a pass.
+    /// - Whenever no batch is open, a notice is sent. Here the notice
+    ///   flag does the work. Both sides are `SeqCst` read-modify-writes
+    ///   of `requests_ready`: ClientIO sets it after its pushes, and the
+    ///   Protocol thread clears it at the top of every pass, before it
+    ///   pops. A clear that comes after the swap below in the flag's
+    ///   order reads this swap's write (or a later one), so the pop that
+    ///   follows it sees the requests. Otherwise the swap read the last
+    ///   clear's `false` and queues a notice. An accepted notice starts a
+    ///   pass whose clear comes after the swap. A notice a full
+    ///   DispatcherQueue refuses is not needed: every pop the Protocol
+    ///   thread made before that last clear happens before the swap, so
+    ///   the queue is full of inputs it has yet to pop, and the pass that
+    ///   follows them clears after the swap.
     pub fn notify_requests(&self) {
-        if !self.requests_ready.swap(true, Ordering::SeqCst) {
+        if self.batch_gauge.needs_notice() && !self.requests_ready.swap(true, Ordering::SeqCst) {
             let _ = self.dispatcher_q.try_push(Input::RequestsReady);
         }
     }
@@ -497,6 +588,7 @@ impl ReplicaBuilder {
             shutdown: AtomicBool::new(false),
             request_q: BoundedQueue::new("RequestQueue", config.request_queue_capacity()),
             requests_ready: AtomicBool::new(false),
+            batch_gauge: BatchGauge::default(),
             dispatcher_q: BoundedQueue::new("DispatcherQueue", config.dispatcher_queue_capacity()),
             decision_q: BoundedQueue::new("DecisionQueue", config.decision_queue_capacity()),
             send_qs: (0..n)

@@ -443,19 +443,22 @@ fn route_replies(
         outboxes[cio].push((conn, Reply::new(id, payload)));
     }
     for (cio, outbox) in outboxes.iter_mut().enumerate() {
-        if !outbox.is_empty() {
-            // Ring before a potentially blocking push: if the queue is
-            // full, the drain this push waits for needs the ClientIO
-            // thread out of epoll_wait.
-            ctx.io_wakers[cio].ring();
-            if ctx.reply_qs[cio]
-                .push_many_with(outbox.drain(..), handle)
-                .is_err()
-            {
-                return false;
-            }
+        if outbox.is_empty() {
+            continue;
+        }
+        let queue = &ctx.reply_qs[cio];
+        // This thread is the queue's only producer, so its room only
+        // grows while the push runs (slots ClientIO has claimed free
+        // without it waking).
+        if queue.capacity() - queue.len() < outbox.len() {
+            // Ring before a push that may block: the drain it waits for
+            // needs the ClientIO thread out of epoll_wait.
             ctx.io_wakers[cio].ring();
         }
+        if queue.push_many_with(outbox.drain(..), handle).is_err() {
+            return false;
+        }
+        ctx.io_wakers[cio].ring();
     }
     true
 }

@@ -94,6 +94,42 @@ fn replies_match_a_local_oracle_and_replicas_converge() {
     );
 }
 
+/// An in-memory connection rings its eventfd when it queues a request, so
+/// ClientIO reads it at once rather than on its scan tick. With a 10 s
+/// tick, a request that waited for a scan would take seconds; sequential
+/// requests must come back in a few batch delays (5 ms) instead.
+#[test]
+fn in_memory_requests_wake_client_io_before_its_tick() {
+    let cluster = InProcessCluster::start_with(small_config(1), |_, builder| {
+        builder
+            .with_service(Box::new(KvService::new()))
+            .with_evented_client_io(
+                1,
+                EventedIoOptions {
+                    tick: Duration::from_secs(10),
+                    ..Default::default()
+                },
+            )
+    });
+    let mut client = cluster.client();
+    client
+        .execute(&KvService::put(b"warmup", b"1"))
+        .expect("warm-up op");
+    let rounds = 20u32;
+    let started = Instant::now();
+    for i in 0..rounds {
+        client
+            .execute(&KvService::put(b"k", &i.to_le_bytes()))
+            .unwrap();
+    }
+    let mean = started.elapsed() / rounds;
+    assert!(
+        mean < Duration::from_millis(50),
+        "mean round trip {mean:?} against a 10 s scan tick"
+    );
+    cluster.shutdown();
+}
+
 #[test]
 fn slow_reader_does_not_stall_other_clients() {
     // Single replica, single ClientIO thread: the slow reader and

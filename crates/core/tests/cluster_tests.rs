@@ -467,6 +467,74 @@ fn refused_request_notices_strand_no_request() {
     cluster.shutdown();
 }
 
+/// Items pushed to the DispatcherQueue of replica `id` so far.
+fn dispatcher_pushes(cluster: &InProcessCluster, id: ReplicaId) -> u64 {
+    cluster
+        .replica(id)
+        .metrics_snapshot()
+        .queue("DispatcherQueue")
+        .expect("DispatcherQueue is registered")
+        .pushed
+}
+
+/// ClientIO tells the Protocol thread about requests once per batch, not
+/// once per request: the first request opens a batch, and the requests
+/// that join it before its deadline, which cannot fill it, send no
+/// notice. A lone replica has no peer messages, so its DispatcherQueue
+/// carries only the notices. Twenty requests arrive a little apart, each
+/// on its own connection, and all of them must be answered by the 200 ms
+/// batch deadline: the Protocol thread pops them on that deadline before
+/// it seals the batch. The 4 s heartbeat keeps the 2 s tick, whose pass
+/// would pop them too, out of the batch's window in most runs.
+#[test]
+fn requests_joining_an_open_batch_send_no_notice() {
+    let config = ClusterConfig::builder(1)
+        .heartbeat_interval(Duration::from_secs(4))
+        .suspect_timeout(Duration::from_secs(10))
+        .batch(BatchPolicy {
+            max_bytes: 1 << 20,
+            timeout: Duration::from_millis(200),
+            ..BatchPolicy::default()
+        })
+        .build()
+        .unwrap();
+    let cluster = InProcessCluster::start(config, |_| Box::new(NullService::new(8)));
+    cluster.client().execute(&[1u8; 16]).unwrap();
+    let mut conns: Vec<_> = (0..20)
+        .map(|_| cluster.hub().connect_client(ReplicaId(0)).unwrap())
+        .collect();
+    // Let ClientIO adopt the connections before counting.
+    std::thread::sleep(Duration::from_millis(50));
+    let before = dispatcher_pushes(&cluster, ReplicaId(0));
+    let started = Instant::now();
+    for (i, conn) in conns.iter_mut().enumerate() {
+        let request = Request::new(
+            RequestId::new(ClientId(5000 + i as u64), SeqNum(0)),
+            vec![2u8; 16],
+        );
+        conn.send(ClientMsg::Request(request).encode_to_vec())
+            .unwrap();
+        std::thread::sleep(Duration::from_micros(500));
+    }
+    for (i, conn) in conns.iter_mut().enumerate() {
+        match conn.recv_timeout(Duration::from_secs(2)) {
+            Ok(Some(frame)) => assert!(
+                matches!(ClientMsg::decode(&frame), Ok(ClientMsg::Reply(_))),
+                "connection {i} got no reply"
+            ),
+            other => panic!("connection {i}: {other:?}"),
+        }
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(300),
+        "20 requests answered in {took:?} against a 200 ms batch delay"
+    );
+    let notices = dispatcher_pushes(&cluster, ReplicaId(0)) - before;
+    assert!(notices <= 4, "{notices} request notices for one batch");
+    cluster.shutdown();
+}
+
 /// A replica network that counts the frames its replica sends.
 struct CountingNetwork {
     inner: Arc<dyn ReplicaNetwork>,

@@ -6,11 +6,17 @@
 //! switches ([`MemoryHub::set_loss`], [`MemoryHub::partition`],
 //! [`MemoryHub::isolate`]) to exercise retransmission, failure detection
 //! and catch-up.
+//!
+//! A client connection also carries a readiness signal for the server's
+//! readiness loop: on Linux, one eventfd per connection, exposed as
+//! [`ClientConn::raw_fd`] of the server half and written by the client
+//! half (see [`MemoryClientEndpoint`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use mio::unix::EventFd;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -155,10 +161,14 @@ impl MemoryHub {
         let id = self.inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
         let c2s = BoundedQueue::new(format!("conn-{id}-c2s"), CLIENT_CAPACITY);
         let s2c = BoundedQueue::new(format!("conn-{id}-s2c"), CLIENT_CAPACITY);
+        // No eventfd (another OS, or out of descriptors): the server scans
+        // the connection instead.
+        let signal = EventFd::new().ok().map(Arc::new);
         let server = MemoryServerConn {
             id,
             incoming: c2s.clone(),
             outgoing: s2c.clone(),
+            signal: signal.clone(),
         };
         self.inner.pending_conns[replica.index()]
             .push(server)
@@ -166,6 +176,7 @@ impl MemoryHub {
         Ok(MemoryClientEndpoint {
             outgoing: c2s,
             incoming: s2c,
+            signal,
         })
     }
 
@@ -292,6 +303,9 @@ pub struct MemoryServerConn {
     id: u64,
     incoming: BoundedQueue<Vec<u8>>,
     outgoing: BoundedQueue<Vec<u8>>,
+    /// Shared with the client half, which writes it; closed when both
+    /// halves are gone.
+    signal: Option<Arc<EventFd>>,
 }
 
 impl ClientConn for MemoryServerConn {
@@ -309,6 +323,14 @@ impl ClientConn for MemoryServerConn {
 
     fn id(&self) -> u64 {
         self.id
+    }
+
+    /// The connection's eventfd. Registered edge-triggered, it is
+    /// readable after every write by the client half (see
+    /// [`MemoryClientEndpoint`]); it is always writable, so writable
+    /// interest on it carries no information.
+    fn raw_fd(&self) -> Option<i32> {
+        self.signal.as_deref().map(EventFd::as_raw_fd)
     }
 
     fn try_send(
@@ -355,20 +377,57 @@ impl ClientListener for MemoryClientListener {
 }
 
 /// Client side of an in-memory connection.
+///
+/// It writes the connection's eventfd (the server half's
+/// [`ClientConn::raw_fd`]) whenever the server has something to do that
+/// an edge-triggered reader would otherwise miss:
+///
+/// - (a) a `send` took the client → server queue from empty to
+///   non-empty. The endpoint is that queue's only producer, so a length
+///   of 1 after the push means the server has not claimed the frame; a
+///   length above 1 means an older frame is still unclaimed, and a
+///   server that drains until empty claims this one too before it
+///   stops reading. A send onto a non-empty queue writes nothing.
+/// - (b) a receive popped from a queue that was full a moment ago (its
+///   length after the pop is at least capacity − 1). A server whose
+///   `try_send` found the queue full is waiting to retry its backlog;
+///   the first pop after that refusal sees that length, whatever the
+///   server pushed in between.
+/// - (c) the endpoint is dropped: both queues close first, so the read
+///   the write triggers sees the hang-up.
 #[derive(Debug)]
 pub struct MemoryClientEndpoint {
     outgoing: BoundedQueue<Vec<u8>>,
     incoming: BoundedQueue<Vec<u8>>,
+    signal: Option<Arc<EventFd>>,
+}
+
+impl MemoryClientEndpoint {
+    /// Writes the connection's eventfd, if it has one.
+    fn ring(&self) {
+        if let Some(signal) = &self.signal {
+            let _ = signal.notify();
+        }
+    }
 }
 
 impl ClientEndpoint for MemoryClientEndpoint {
     fn send(&mut self, frame: Vec<u8>) -> Result<(), NetError> {
-        self.outgoing.push(frame).map_err(|_| NetError::Closed)
+        self.outgoing.push(frame).map_err(|_| NetError::Closed)?;
+        if self.outgoing.len() == 1 {
+            self.ring(); // (a)
+        }
+        Ok(())
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
         match self.incoming.pop_timeout(timeout) {
-            Ok(frame) => Ok(Some(frame)),
+            Ok(frame) => {
+                if self.incoming.len() + 1 >= self.incoming.capacity() {
+                    self.ring(); // (b)
+                }
+                Ok(Some(frame))
+            }
             Err(PopError::Empty) => Ok(None),
             Err(PopError::Closed) => Err(NetError::Closed),
         }
@@ -379,6 +438,7 @@ impl Drop for MemoryClientEndpoint {
     fn drop(&mut self) {
         self.outgoing.close();
         self.incoming.close();
+        self.ring(); // (c)
     }
 }
 
@@ -521,6 +581,96 @@ mod tests {
         // frame that was in flight when the old endpoint detached.
         let n1b = hub.replica_network(ReplicaId(1));
         assert_eq!(n1b.recv_from(ReplicaId(0)).unwrap(), vec![1]);
+    }
+
+    /// The connection's eventfd, registered edge-triggered on a fresh
+    /// poller, as the ClientIO loop registers it.
+    #[cfg(target_os = "linux")]
+    mod eventfd_edges {
+        use super::*;
+        use mio::unix::SourceFd;
+        use mio::{Events, Interest, Poll, Token};
+
+        /// A connection and a poller watching its server half's eventfd.
+        fn watched() -> (MemoryClientEndpoint, Box<dyn ClientConn>, Poll) {
+            let hub = MemoryHub::new(1, 1);
+            let listener = hub.client_listener(ReplicaId(0));
+            let client = hub.connect_client(ReplicaId(0)).unwrap();
+            let server = listener
+                .accept_timeout(Duration::from_secs(1))
+                .unwrap()
+                .expect("connection pending");
+            let fd = server
+                .raw_fd()
+                .expect("an in-memory connection has an eventfd");
+            let poll = Poll::new().unwrap();
+            poll.registry()
+                .register(&mut SourceFd(&fd), Token(0), Interest::READABLE)
+                .unwrap();
+            (client, server, poll)
+        }
+
+        /// Whether a readable edge arrives within `wait`.
+        fn edge(poll: &mut Poll, wait: Duration) -> bool {
+            let mut events = Events::with_capacity(4);
+            poll.poll(&mut events, Some(wait)).unwrap();
+            let readable = events.iter().any(|e| e.is_readable());
+            readable
+        }
+
+        #[test]
+        fn send_onto_an_empty_queue_rings_and_onto_a_nonempty_one_does_not() {
+            let (mut client, mut server, mut poll) = watched();
+            assert!(
+                !edge(&mut poll, Duration::from_millis(20)),
+                "quiet at first"
+            );
+            client.send(b"a".to_vec()).unwrap();
+            assert!(edge(&mut poll, Duration::from_secs(2)), "empty → non-empty");
+            client.send(b"b".to_vec()).unwrap();
+            assert!(
+                !edge(&mut poll, Duration::from_millis(20)),
+                "a send onto a non-empty queue writes nothing"
+            );
+            // Drained, the queue is empty again: the next send rings.
+            assert_eq!(server.try_recv().unwrap().unwrap(), b"a");
+            assert_eq!(server.try_recv().unwrap().unwrap(), b"b");
+            assert_eq!(server.try_recv().unwrap(), None);
+            client.send(b"c".to_vec()).unwrap();
+            assert!(edge(&mut poll, Duration::from_secs(2)), "empty again");
+        }
+
+        #[test]
+        fn receive_from_a_full_queue_rings() {
+            let (mut client, mut server, mut poll) = watched();
+            for i in 0..CLIENT_CAPACITY {
+                assert_eq!(server.try_send(vec![i as u8], 0).unwrap(), None);
+            }
+            assert!(server.try_send(vec![0], 0).unwrap().is_some(), "full");
+            assert!(
+                !edge(&mut poll, Duration::from_millis(20)),
+                "server pushes are silent"
+            );
+            let wait = Duration::from_secs(1);
+            assert_eq!(client.recv_timeout(wait).unwrap().unwrap(), vec![0]);
+            assert!(
+                edge(&mut poll, Duration::from_secs(2)),
+                "room in a full queue"
+            );
+            assert_eq!(client.recv_timeout(wait).unwrap().unwrap(), vec![1]);
+            assert!(
+                !edge(&mut poll, Duration::from_millis(20)),
+                "a receive from a queue with room writes nothing"
+            );
+        }
+
+        #[test]
+        fn dropping_the_client_half_rings() {
+            let (client, mut server, mut poll) = watched();
+            drop(client);
+            assert!(edge(&mut poll, Duration::from_secs(2)), "hang-up");
+            assert_eq!(server.try_recv(), Err(NetError::Closed));
+        }
     }
 
     #[test]

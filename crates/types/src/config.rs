@@ -157,7 +157,7 @@ impl ClusterConfig {
                 window: 10,
                 batch: BatchPolicy::default(),
                 retransmit: RetransmitPolicy::default(),
-                client_io_threads: 4,
+                client_io_threads: 1,
                 request_queue_capacity: 1000,
                 dispatcher_queue_capacity: 4096,
                 decision_queue_capacity: 1024,
@@ -202,6 +202,9 @@ impl ClusterConfig {
     }
 
     /// Number of ClientIO threads in the pool (§V-A; swept in Fig. 9).
+    /// Default 1: one readiness loop keeps up with every workload this
+    /// repository measures, and each further thread costs a hand-off.
+    /// Deployments with many busy connections can raise it.
     pub fn client_io_threads(&self) -> usize {
         self.client_io_threads
     }
@@ -415,6 +418,11 @@ mod tests {
         assert_eq!(c.window(), 10);
         assert_eq!(c.batch().max_bytes, 1300);
         assert_eq!(c.request_queue_capacity(), 1000);
+    }
+
+    #[test]
+    fn client_io_pool_defaults_to_one_thread() {
+        assert_eq!(ClusterConfig::new(3).client_io_threads(), 1);
     }
 
     #[test]

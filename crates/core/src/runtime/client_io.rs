@@ -1,4 +1,4 @@
-//! The ClientIO module (§V-A): the acceptor thread and the ClientIO pool.
+//! The ClientIO module (§V-A): the pool, whose first thread also accepts.
 //!
 //! Each pool thread runs one readiness loop over its share of the
 //! connections. It owns an epoll instance (via the vendored `mio` shim)
@@ -21,18 +21,17 @@
 //! writable; its reader's next pop rings it, and any edge on a
 //! connection with a backlog retries the flush.
 //!
-//! Connections without a file descriptor (an in-memory connection with
-//! no eventfd) are scanned every [`EventedIoOptions::tick`]. Where epoll
-//! is unavailable (non-Linux targets, or `epoll_create1` fails) the same
-//! loop runs with no poller: every connection is scanned that way, and
-//! the wait step sleeps one tick.
+//! Connections and listeners without a file descriptor (in-memory ones
+//! with no eventfd) are scanned every [`EventedIoOptions::tick`]. Where
+//! epoll is unavailable (non-Linux targets, or `epoll_create1` fails)
+//! the same loop runs with no poller: everything is scanned that way,
+//! and the wait step sleeps one tick.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use smr_metrics::ThreadState;
-use smr_net::{ClientConn, ClientListener};
+use smr_net::{ClientConn, ClientListener, NetError};
 use smr_queue::{PopError, PushError};
 use smr_wire::{ClientMsg, Codec, Reply, Request};
 
@@ -44,9 +43,8 @@ use super::Ctx;
 /// indices, which can never reach it.
 const WAKER_TOKEN: mio::Token = mio::Token(usize::MAX);
 
-/// Wait when nothing is outstanding; bounds how stale the shutdown check
-/// can get (wakers cover every other wake-up source).
-const IDLE_TIMEOUT: Duration = Duration::from_millis(100);
+/// Token reserved for ClientIO-0's listener, beside [`WAKER_TOKEN`].
+const LISTENER_TOKEN: mio::Token = mio::Token(usize::MAX - 1);
 
 /// The ClientIO pool's slow-reader limits and scan tick
 /// ([`ReplicaBuilder::with_evented_client_io`]).
@@ -62,9 +60,9 @@ pub struct EventedIoOptions {
     /// before the connection is dropped.
     pub max_overflow_frames: usize,
     /// Wait bound while work that produces no readiness event is
-    /// outstanding: fd-less connections to scan, parked requests waiting
-    /// for RequestQueue space, or fd-less flush retries. Without epoll,
-    /// every wait is one tick.
+    /// outstanding: fd-less connections or listener to scan, parked
+    /// requests, fd-less flush retries, or an accept to retry after an
+    /// error. Without epoll, every wait is one tick.
     pub tick: Duration,
 }
 
@@ -78,70 +76,35 @@ impl Default for EventedIoOptions {
     }
 }
 
-/// A slot another thread can ring to kick a ClientIO thread out of
-/// `epoll_wait`. Empty (a no-op) until the thread installs its waker, and
-/// for good on a thread that runs without epoll.
-#[derive(Default)]
-pub(crate) struct IoWaker(OnceLock<mio::Waker>);
+/// Rings a ClientIO thread out of `epoll_wait`; a no-op for a thread that
+/// runs without epoll.
+pub(crate) struct IoWaker(Option<mio::Waker>);
 
 impl IoWaker {
     /// Wakes the owning ClientIO thread, if it waits on epoll.
     pub(crate) fn ring(&self) {
-        if let Some(w) = self.0.get() {
+        if let Some(w) = &self.0 {
             let _ = w.wake();
         }
     }
 }
 
-/// Accepts client connections and deals them to ClientIO threads
-/// round-robin (§V-A), ringing the adopting thread's waker. Parks on
-/// listener readiness when the listener has a fd and epoll works;
-/// otherwise (the in-memory hub, or no epoll) it waits in a timed
-/// accept.
-pub(crate) fn run_acceptor(ctx: &Ctx, listener: Box<dyn ClientListener>) {
-    let handle = ctx.metrics.register_thread("ClientAcceptor");
-    let mut poll = listener.raw_fd().and_then(|fd| {
-        let poll = mio::Poll::new().ok()?;
-        poll.registry()
-            .register(
-                &mut mio::unix::SourceFd(&fd),
-                mio::Token(0),
-                mio::Interest::READABLE,
-            )
-            .ok()?;
-        Some(poll)
+/// A ClientIO thread's poller and the waker other threads ring, or
+/// neither where epoll is unavailable. Made before any thread runs, so no
+/// ring finds its waker missing and an idle loop can wait untimed.
+pub(crate) fn poller() -> (Option<mio::Poll>, IoWaker) {
+    let made = mio::Poll::new().and_then(|poll| {
+        let waker = mio::Waker::new(poll.registry(), WAKER_TOKEN)?;
+        Ok((poll, waker))
     });
-    let mut events = mio::Events::with_capacity(8);
-    let k = ctx.intake_qs.len();
-    let mut next = 0usize;
-    while !ctx.is_shutdown() {
-        let accepted = match poll.as_mut() {
-            // Edge-triggered: accept until WouldBlock before parking.
-            Some(poll) => match listener.try_accept() {
-                Ok(None) => {
-                    let _g = handle.enter(ThreadState::Other); // blocked in epoll_wait
-                    let _ = poll.poll(&mut events, Some(IDLE_TIMEOUT));
-                    continue;
-                }
-                other => other,
-            },
-            None => {
-                let _g = handle.enter(ThreadState::Other); // blocked in accept(2)
-                listener.accept_timeout(IDLE_TIMEOUT)
-            }
-        };
-        match accepted {
-            Ok(Some(conn)) => {
-                if ctx.intake_qs[next].push(conn).is_err() {
-                    return;
-                }
-                ctx.io_wakers[next].ring();
-                next = (next + 1) % k;
-            }
-            Ok(None) => {}
-            Err(_) => return,
-        }
-    }
+    made.map_or((None, IoWaker(None)), |(p, w)| (Some(p), IoWaker(Some(w))))
+}
+
+/// Registers `fd` for readable edges under `token`; false without a
+/// poller or when registration fails (the source is then scanned).
+fn register(poll: Option<&mio::Poll>, fd: i32, token: mio::Token) -> bool {
+    let (source, interest) = (&mut mio::unix::SourceFd(&fd), mio::Interest::READABLE);
+    poll.is_some_and(|p| p.registry().register(source, token, interest).is_ok())
 }
 
 /// One connection owned by a pool thread.
@@ -260,17 +223,9 @@ impl Slab {
             self.slots.len() - 1
         });
         self.by_id.insert(conn.id(), slot);
-        let fd = conn.raw_fd().filter(|fd| {
-            poll.is_some_and(|poll| {
-                poll.registry()
-                    .register(
-                        &mut mio::unix::SourceFd(fd),
-                        mio::Token(slot),
-                        mio::Interest::READABLE,
-                    )
-                    .is_ok()
-            })
-        });
+        let fd = conn
+            .raw_fd()
+            .filter(|&fd| register(poll, fd, mio::Token(slot)));
         if fd.is_some() {
             self.read_list.push(slot);
         } else {
@@ -386,24 +341,29 @@ enum ReadOutcome {
     Dead,
 }
 
-/// One thread of the ClientIO pool: the readiness loop over the
-/// connections the acceptor dealt it (see the module docs).
-pub(crate) fn run_client_io(ctx: &Ctx, index: usize, opts: &EventedIoOptions) {
+/// One thread of the ClientIO pool: the readiness loop over its share of
+/// the connections (see the module docs). ClientIO-0 gets the listener.
+pub(crate) fn run_client_io(
+    ctx: &Ctx,
+    index: usize,
+    opts: &EventedIoOptions,
+    mut poll: Option<mio::Poll>,
+    listener: Option<Box<dyn ClientListener>>,
+) {
     let handle = ctx.metrics.register_thread(format!("ClientIO-{index}"));
     let overflow_drops = ctx.metrics.counter("clientio.overflow_drops");
-    // The poller and its waker, or neither: without epoll every
-    // connection is scanned and the wait step sleeps one tick.
-    let (mut poll, waker) = match mio::Poll::new().and_then(|poll| {
-        let waker = mio::Waker::new(poll.registry(), WAKER_TOKEN)?;
-        Ok((poll, waker))
-    }) {
-        Ok((poll, waker)) => {
-            let slot = &ctx.io_wakers[index].0;
-            let _ = slot.set(waker); // each thread installs its own, once
-            (Some(poll), slot.get())
-        }
-        Err(_) => (None, None),
-    };
+    // ClientIO-0's listener and its fd (`None`: scanned). `accept_ready`:
+    // it may hold connections (at start, after an edge or an accept
+    // error, and always while scanned).
+    let listener = listener.map(|l| {
+        let fd = l
+            .raw_fd()
+            .filter(|&fd| register(poll.as_ref(), fd, LISTENER_TOKEN));
+        (l, fd)
+    });
+    let mut accept_ready = listener.is_some();
+    let mut deal_to = 0;
+    let accept_errors = ctx.metrics.counter("clientio.accept_errors");
 
     let mut slab = Slab::default();
     let mut next_dirty: Vec<usize> = Vec::new();
@@ -413,7 +373,42 @@ pub(crate) fn run_client_io(ctx: &Ctx, index: usize, opts: &EventedIoOptions) {
     let mut step_downs = ctx.shared.step_downs();
 
     while !ctx.is_shutdown() {
-        // 1. Adopt newly accepted connections dealt by the acceptor.
+        // 1. ClientIO-0 accepts until the listener is empty and deals
+        // round-robin (§V-A), adopting its own share; then every thread
+        // adopts what was dealt to it.
+        while let Some((l, fd)) = listener.as_ref().filter(|_| accept_ready) {
+            let mut conn = match l.try_accept() {
+                Ok(Some(conn)) => conn,
+                Ok(None) => {
+                    accept_ready = fd.is_none();
+                    break;
+                }
+                Err(NetError::Closed) => {
+                    if let (Some(fd), Some(poll)) = (fd, poll.as_ref()) {
+                        let _ = poll.registry().deregister(&mut mio::unix::SourceFd(fd));
+                    }
+                    accept_ready = false; // for good
+                    break;
+                }
+                Err(_) => {
+                    accept_errors.inc(); // transient (EMFILE): stay ready
+                    break;
+                }
+            };
+            let to = deal_to;
+            deal_to = (to + 1) % ctx.intake_qs.len();
+            if to != index {
+                match ctx.intake_qs[to].try_push(conn) {
+                    Ok(()) => {
+                        ctx.io_wakers[to].ring();
+                        continue;
+                    }
+                    // That thread is far behind, or the replica is stopping.
+                    Err(PushError::Full(c) | PushError::Closed(c)) => conn = c,
+                }
+            }
+            slab.adopt(conn, poll.as_ref());
+        }
         if ctx.intake_qs[index].try_pop_all(&mut adopted).is_ok() {
             for conn in adopted.drain(..) {
                 slab.adopt(conn, poll.as_ref());
@@ -546,29 +541,31 @@ pub(crate) fn run_client_io(ctx: &Ctx, index: usize, opts: &EventedIoOptions) {
             }
         }
 
-        // 7. Wait. Work that no readiness event announces (scans,
-        // parked-request retries, fd-less flush backlogs) bounds the
-        // wait to one tick; otherwise only a waker or a connection event
-        // need wake us early.
+        // 7. Wait. Work that no readiness event announces (scans, parked
+        // requests and accepts to retry, fd-less flush backlogs) bounds
+        // the wait to one tick; otherwise a waker or an event ends it.
         let Some(poll) = poll.as_mut() else {
             let _g = handle.enter(ThreadState::Other); // asleep for one tick
             std::thread::sleep(opts.tick);
             continue;
         };
-        let timeout = if slab.polled.is_empty() && slab.parked.is_empty() && slab.dirty.is_empty() {
-            IDLE_TIMEOUT
-        } else {
-            opts.tick
-        };
+        let scans = !slab.polled.is_empty()
+            || !slab.parked.is_empty()
+            || !slab.dirty.is_empty()
+            || accept_ready;
         {
             let _g = handle.enter(ThreadState::Other); // blocked in epoll_wait
-            let _ = poll.poll(&mut events, Some(timeout));
+            let _ = poll.poll(&mut events, scans.then_some(opts.tick));
         }
         for ev in events.iter() {
             if ev.token() == WAKER_TOKEN {
-                if let Some(waker) = waker {
+                if let Some(waker) = &ctx.io_wakers[index].0 {
                     waker.clear();
                 }
+                continue;
+            }
+            if ev.token() == LISTENER_TOKEN {
+                accept_ready = true;
                 continue;
             }
             let slot = ev.token().0;

@@ -39,15 +39,16 @@ const EVENT_BURST: usize = 256;
 /// ([`Input::RequestsReady`]) and the ServiceManager
 /// ([`Input::SnapshotPublished`]). Shutdown closes the queue, which ends
 /// the wait at once.
-pub(crate) fn run_protocol(ctx: &Ctx) {
+pub(crate) fn run_protocol(ctx: &Ctx, state: ProtocolState) {
     let handle = ctx.metrics.register_thread("Protocol");
     // Every way out of the loop is shutdown.
-    let _ = protocol_loop(ctx, &handle);
+    let _ = protocol_loop(ctx, &handle, state);
 }
 
-/// The Protocol thread's loop. Returns `Err(())` once the replica shuts
-/// down, and never otherwise.
-fn protocol_loop(ctx: &Ctx, handle: &ThreadHandle) -> Result<(), ()> {
+/// The Protocol thread's state with `Event::Init` handled and any
+/// recovered snapshot noted. Made before any thread runs, so the first
+/// client request finds the serving flag set, not yet unset.
+pub(crate) fn init_protocol(ctx: &Ctx) -> ProtocolState {
     let mut core = PaxosReplica::new(ctx.me, ctx.config.clone());
     core.set_compaction(ctx.compaction);
     let mut state = ProtocolState {
@@ -61,11 +62,15 @@ fn protocol_loop(ctx: &Ctx, handle: &ThreadHandle) -> Result<(), ()> {
         sealed: VecDeque::new(),
         burst: Vec::new(),
     };
-    let mut inputs: Vec<Input> = Vec::new();
-    state.handle(ctx, Event::Init)?;
-    // A snapshot recovered from disk is published before this thread
-    // starts: fast-forward past it.
+    let _ = state.handle(ctx, Event::Init); // fails only after shutdown
     state.note_snapshot(ctx);
+    state
+}
+
+/// The Protocol thread's loop. Returns `Err(())` once the replica shuts
+/// down, and never otherwise.
+fn protocol_loop(ctx: &Ctx, handle: &ThreadHandle, mut state: ProtocolState) -> Result<(), ()> {
+    let mut inputs: Vec<Input> = Vec::new();
     let tick_every = ctx.config.heartbeat_interval() / 2;
     let mut next_tick = Instant::now() + tick_every;
     loop {
@@ -124,7 +129,7 @@ fn protocol_loop(ctx: &Ctx, handle: &ThreadHandle) -> Result<(), ()> {
 
 /// What the Protocol thread owns besides its queues: the core and the
 /// buffers its actions pass through.
-struct ProtocolState {
+pub(crate) struct ProtocolState {
     core: PaxosReplica,
     actions: Vec<Action>,
     deliveries: Vec<Decision>,

@@ -189,11 +189,11 @@ pub(crate) struct Ctx {
     pub send_qs: Vec<BoundedQueue<ProtocolMsg>>,
     /// Indexed by ClientIO thread.
     pub reply_qs: Vec<BoundedQueue<(u64, Reply)>>,
-    /// Indexed by ClientIO thread: newly accepted connections.
+    /// Indexed by ClientIO thread: connections ClientIO-0 dealt to it.
     pub intake_qs: Vec<BoundedQueue<Box<dyn ClientConn>>>,
     /// Indexed by ClientIO thread: rings the thread out of `epoll_wait`
-    /// when replies or connections land. No-ops on a thread that runs
-    /// without epoll.
+    /// when replies or connections land. Installed before any thread
+    /// runs; no-ops on a thread that runs without epoll.
     pub io_wakers: Vec<IoWaker>,
     pub network: Arc<dyn ReplicaNetwork>,
     /// Frames dropped because a SendQueue was full (the non-blocking
@@ -578,6 +578,7 @@ impl ReplicaBuilder {
         // A named counter rather than a free-floating one, so the
         // metrics export picks it up with everything else.
         let send_drops = metrics.counter("net.send_drops");
+        let (polls, io_wakers): (Vec<_>, Vec<_>) = (0..k).map(|_| client_io::poller()).unzip();
         let ctx = Arc::new(Ctx {
             me,
             shared: Arc::new(SharedState::new()),
@@ -602,7 +603,7 @@ impl ReplicaBuilder {
             intake_qs: (0..k)
                 .map(|i| BoundedQueue::new(format!("ConnIntake-{i}"), 1024))
                 .collect(),
-            io_wakers: (0..k).map(|_| IoWaker::default()).collect(),
+            io_wakers,
             network,
             send_drops,
             snapshots: SnapshotStore::new(),
@@ -632,6 +633,7 @@ impl ReplicaBuilder {
         if let Some(blob) = recovered_blob {
             ctx.snapshots.publish(blob);
         }
+        let protocol = core_threads::init_protocol(&ctx);
 
         let mut threads = Vec::new();
         let spawn = |name: String, f: Box<dyn FnOnce() + Send>| -> JoinHandle<()> {
@@ -641,20 +643,15 @@ impl ReplicaBuilder {
                 .expect("spawn replica thread")
         };
 
-        // ClientIO pool + acceptor (§V-A).
-        for i in 0..k {
+        // ClientIO pool (§V-A); ClientIO-0 also accepts.
+        let mut listener = Some(listener);
+        for (i, poll) in polls.into_iter().enumerate() {
             let ctx2 = Arc::clone(&ctx);
             let opts = client_io_opts.clone();
+            let listener = listener.take();
             threads.push(spawn(
                 format!("ClientIO-{i}"),
-                Box::new(move || client_io::run_client_io(&ctx2, i, &opts)),
-            ));
-        }
-        {
-            let ctx2 = Arc::clone(&ctx);
-            threads.push(spawn(
-                "ClientAcceptor".into(),
-                Box::new(move || client_io::run_acceptor(&ctx2, listener)),
+                Box::new(move || client_io::run_client_io(&ctx2, i, &opts, poll, listener)),
             ));
         }
         // ReplicaIO: one sender + one receiver per peer (§V-B).
@@ -675,7 +672,7 @@ impl ReplicaBuilder {
             let ctx2 = Arc::clone(&ctx);
             threads.push(spawn(
                 "Protocol".into(),
-                Box::new(move || core_threads::run_protocol(&ctx2)),
+                Box::new(move || core_threads::run_protocol(&ctx2, protocol)),
             ));
         }
         // ServiceManager (§V-D) — named "Replica" in the paper's profiles.
@@ -877,8 +874,8 @@ impl Replica {
             q.close();
         }
         self.ctx.network.shutdown();
-        // Kick ClientIO threads out of epoll_wait so they
-        // observe the flag now rather than at their next timeout.
+        // Kick ClientIO threads out of epoll_wait, where an idle one
+        // waits without a timeout.
         for w in &self.ctx.io_wakers {
             w.ring();
         }

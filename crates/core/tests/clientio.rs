@@ -3,16 +3,21 @@
 //! replicas converged, isolate slow readers behind per-connection
 //! outbound buffering (and drop, and count, one that passes its overflow
 //! cap), tolerate large numbers of idle connections, and forget the
-//! routes of closed connections.
+//! routes of closed connections. Its first thread accepts: connections
+//! are dealt round-robin, a new one is served without waiting for a
+//! tick, a failed accept does not end accepting, and a request waiting
+//! at start is answered rather than redirected.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smr_core::{
     ConcurrentKvService, ConflictAwareService, EventedIoOptions, InProcessCluster, KvService,
-    ServiceState,
+    ReplicaBuilder, ServiceState, SmrClient,
 };
-use smr_net::ClientEndpoint;
+use smr_net::memory::{MemoryClientEndpoint, MemoryClientListener, MemoryHub};
+use smr_net::{ClientConn, ClientEndpoint, ClientListener, NetError};
 use smr_types::{ClientId, ClusterConfig, ReplicaId, RequestId, SeqNum};
 use smr_wire::{ClientMsg, Codec, Request};
 
@@ -277,7 +282,7 @@ fn many_idle_connections_do_not_stall_active_clients() {
     let idle: Vec<_> = (0..IDLE_CONNS)
         .map(|_| cluster.hub().connect_client(ReplicaId(0)).unwrap())
         .collect();
-    // Give the acceptor a moment to fan all of them into the pool.
+    // Give ClientIO-0 a moment to deal all of them over the pool.
     std::thread::sleep(Duration::from_millis(200));
     let with_idle = timed_ops(&cluster);
     drop(idle);
@@ -422,4 +427,210 @@ fn reader_past_its_overflow_cap_is_dropped_and_counted() {
         std::thread::sleep(Duration::from_millis(10));
     }
     cluster.shutdown();
+}
+
+/// Sends one request under `client` on `conn` and waits for its reply.
+fn request_reply(conn: &mut MemoryClientEndpoint, client: ClientId) {
+    let request = Request::new(
+        RequestId::new(client, SeqNum(0)),
+        KvService::put(b"k", &client.0.to_le_bytes()),
+    );
+    conn.send(ClientMsg::Request(request).encode_to_vec())
+        .expect("send request");
+    match conn.recv_timeout(Duration::from_secs(5)) {
+        Ok(Some(frame)) => assert!(
+            matches!(ClientMsg::decode(&frame), Ok(ClientMsg::Reply(_))),
+            "client {client:?} got no reply"
+        ),
+        other => panic!("client {client:?}: {other:?}"),
+    }
+}
+
+/// Waits until the single replica of `cluster` orders requests, so a raw
+/// connection is not redirected.
+fn await_serving(cluster: &InProcessCluster) {
+    let shared = cluster.replica(ReplicaId(0)).shared();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !shared.is_serving() {
+        assert!(Instant::now() < deadline, "the replica never served");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// ClientIO-0 deals accepted connections over the pool round-robin
+/// (§V-A), itself first: four connections of a pool of two land on
+/// threads 0, 1, 0, 1, as the client routes they bind show.
+#[test]
+fn accepted_connections_are_dealt_round_robin() {
+    let cluster = InProcessCluster::start_with(small_config(1), |_, builder| {
+        builder
+            .with_service(Box::new(KvService::new()))
+            .with_evented_client_io(2, EventedIoOptions::default())
+    });
+    await_serving(&cluster);
+    let clients: Vec<ClientId> = (0..4).map(|i| ClientId(500 + i)).collect();
+    let mut conns = Vec::new();
+    for &client in &clients {
+        let mut conn = cluster
+            .hub()
+            .connect_client(ReplicaId(0))
+            .expect("connect raw client");
+        request_reply(&mut conn, client);
+        conns.push(conn); // an open connection keeps its route
+    }
+    let shared = cluster.replica(ReplicaId(0)).shared();
+    let threads: Vec<usize> = clients
+        .iter()
+        .map(|&c| {
+            shared
+                .client_route(c)
+                .expect("route of an open connection")
+                .0
+        })
+        .collect();
+    assert_eq!(threads, [0, 1, 0, 1]);
+    drop(conns);
+    cluster.shutdown();
+}
+
+/// The in-memory listener rings its eventfd on every connect, and an idle
+/// ClientIO waits on it: with a 10 s tick, a connection opened to a replica
+/// that has been idle is answered in a few batch delays. (Without epoll
+/// the listener is scanned every tick, so this holds only on Linux.)
+#[cfg(target_os = "linux")]
+#[test]
+fn a_connection_to_an_idle_replica_is_served_before_the_tick() {
+    let cluster = InProcessCluster::start_with(small_config(1), |_, builder| {
+        builder
+            .with_service(Box::new(KvService::new()))
+            .with_evented_client_io(
+                1,
+                EventedIoOptions {
+                    tick: Duration::from_secs(10),
+                    ..Default::default()
+                },
+            )
+    });
+    cluster
+        .client()
+        .execute(&KvService::put(b"warmup", b"1"))
+        .expect("warm-up op");
+    std::thread::sleep(Duration::from_millis(100)); // idle
+    let started = Instant::now();
+    let mut conn = cluster
+        .hub()
+        .connect_client(ReplicaId(0))
+        .expect("connect raw client");
+    request_reply(&mut conn, ClientId(900));
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(50),
+        "first reply after {took:?} against a 10 s scan tick"
+    );
+    drop(conn);
+    cluster.shutdown();
+}
+
+/// The hub's listener, except that its first accept fails with an I/O
+/// error, as `accept(2)` does with `EMFILE` when descriptors run out.
+struct FailsOnce {
+    inner: MemoryClientListener,
+    failed: Arc<AtomicBool>,
+}
+
+impl FailsOnce {
+    fn first_fails(&self) -> Result<(), NetError> {
+        if self.failed.swap(true, Ordering::SeqCst) {
+            Ok(())
+        } else {
+            Err(NetError::Io("Too many open files".into()))
+        }
+    }
+}
+
+impl ClientListener for FailsOnce {
+    fn accept_timeout(&self, timeout: Duration) -> Result<Option<Box<dyn ClientConn>>, NetError> {
+        self.first_fails()?;
+        self.inner.accept_timeout(timeout)
+    }
+
+    fn raw_fd(&self) -> Option<i32> {
+        self.inner.raw_fd()
+    }
+
+    fn try_accept(&self) -> Result<Option<Box<dyn ClientConn>>, NetError> {
+        self.first_fails()?;
+        self.inner.try_accept()
+    }
+}
+
+/// A failed accept is counted in `clientio.accept_errors` and retried; a
+/// client that connects after it is still answered.
+#[test]
+fn a_failed_accept_does_not_end_accepting() {
+    let hub = MemoryHub::new(1, 1);
+    let failed = Arc::new(AtomicBool::new(false));
+    let replica = ReplicaBuilder::new(ReplicaId(0), small_config(1))
+        .with_service(Box::new(KvService::new()))
+        .with_network(Arc::new(hub.replica_network(ReplicaId(0))))
+        .with_client_listener(Box::new(FailsOnce {
+            inner: hub.client_listener(ReplicaId(0)),
+            failed: Arc::clone(&failed),
+        }))
+        .start()
+        .expect("replica starts");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !failed.load(Ordering::SeqCst) {
+        assert!(Instant::now() < deadline, "the listener was never used");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let connector_hub = hub.clone();
+    let mut client = SmrClient::new(
+        ClientId(1),
+        1,
+        Box::new(move |r| connector_hub.connect_client(r).map(|ep| Box::new(ep) as _)),
+    )
+    .with_timeouts(Duration::from_millis(500), Duration::from_secs(5));
+    client
+        .execute(&KvService::put(b"after", b"the error"))
+        .expect("a client connecting after a failed accept is answered");
+    assert_eq!(
+        replica.metrics_snapshot().counter("clientio.accept_errors"),
+        Some(1)
+    );
+    replica.shutdown();
+    hub.shutdown();
+}
+
+/// A request that is waiting when a single replica starts is answered,
+/// not redirected: the replica handles the Protocol core's `Init`, which
+/// makes it the serving leader, before ClientIO-0 takes its first
+/// connection.
+#[test]
+fn a_request_waiting_at_start_is_not_redirected() {
+    let hub = MemoryHub::new(1, 1);
+    let mut conn = hub.connect_client(ReplicaId(0)).expect("connect");
+    let request = Request::new(
+        RequestId::new(ClientId(1), SeqNum(0)),
+        KvService::put(b"k", b"v"),
+    );
+    conn.send(ClientMsg::Request(request).encode_to_vec())
+        .expect("send request");
+    let replica = ReplicaBuilder::new(ReplicaId(0), small_config(1))
+        .with_service(Box::new(KvService::new()))
+        .with_network(Arc::new(hub.replica_network(ReplicaId(0))))
+        .with_client_listener(Box::new(hub.client_listener(ReplicaId(0))))
+        .start()
+        .expect("replica starts");
+    let frame = conn
+        .recv_timeout(Duration::from_secs(5))
+        .expect("connection open")
+        .expect("an answer");
+    assert!(
+        matches!(ClientMsg::decode(&frame), Ok(ClientMsg::Reply(_))),
+        "{:?}",
+        ClientMsg::decode(&frame)
+    );
+    replica.shutdown();
+    hub.shutdown();
 }

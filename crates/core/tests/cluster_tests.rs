@@ -310,6 +310,8 @@ fn per_thread_profiles_are_collected() {
     assert!(!names.contains(&"Batcher"), "{names:?}");
     assert!(!names.contains(&"FailureDetector"), "{names:?}");
     assert!(!names.contains(&"Retransmitter"), "{names:?}");
+    // ClientIO-0 accepts client connections.
+    assert!(!names.contains(&"ClientAcceptor"), "{names:?}");
     // The paper's key property: time is overwhelmingly waiting, not
     // blocked, at low load.
     let table = snapshot.render_table();
@@ -613,4 +615,36 @@ fn n3_instance_costs_four_peer_frames() {
     );
     cluster.shutdown();
     fabric.shutdown();
+}
+
+/// Stopping a replica joins every one of its threads, so it takes as long
+/// as the slowest of them needs to notice. The shutdown wakes ClientIO,
+/// which owns the client listener, so nothing waits out a timed accept;
+/// the slowest thread is a ReplicaIO receiver in the memory fabric's
+/// 25 ms receive poll. Eight stops of a follower, each 20 ms after it
+/// (re)started, must take under 50 ms in the median (~22 ms on a 2-vCPU
+/// Linux host; a 100 ms timed accept made them take ~80).
+#[test]
+fn stopping_a_replica_waits_out_no_timed_accept() {
+    let mut cluster = InProcessCluster::start(small_config(3), |_| Box::new(NullService::new(8)));
+    cluster.client().execute(&[1u8; 16]).unwrap();
+    let mut took = Vec::new();
+    for round in 0..8u16 {
+        // Alternate the followers: the leader and a quorum stay up.
+        let id = ReplicaId(1 + round % 2);
+        std::thread::sleep(Duration::from_millis(20));
+        let started = Instant::now();
+        cluster.stop_replica(id);
+        took.push(started.elapsed());
+        cluster.restart_replica(id, |_, builder| {
+            builder.with_service(Box::new(NullService::new(8)))
+        });
+    }
+    took.sort();
+    let median = took[took.len() / 2];
+    assert!(
+        median < Duration::from_millis(50),
+        "median stop {median:?}; all stops {took:?}"
+    );
+    cluster.shutdown();
 }

@@ -10,7 +10,9 @@
 //! A client connection also carries a readiness signal for the server's
 //! readiness loop: on Linux, one eventfd per connection, exposed as
 //! [`ClientConn::raw_fd`] of the server half and written by the client
-//! half (see [`MemoryClientEndpoint`]).
+//! half (see [`MemoryClientEndpoint`]). Each replica's listener has one
+//! too, owned by the hub and written on every connect (see
+//! [`MemoryClientListener`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,6 +52,10 @@ struct HubInner {
     links: Vec<Vec<BoundedQueue<Vec<u8>>>>,
     /// Pending client connections per replica.
     pending_conns: Vec<BoundedQueue<MemoryServerConn>>,
+    /// Per replica: written after every push to (and close of) its
+    /// `pending_conns`; `None` where no eventfd could be made. Owned
+    /// here, so a restarted replica's listener reuses it.
+    accept_signals: Vec<Option<EventFd>>,
     fault: Fault,
     next_conn_id: AtomicU64,
     shutdown: AtomicBool,
@@ -105,6 +111,7 @@ impl MemoryHub {
                 n,
                 links,
                 pending_conns,
+                accept_signals: (0..n).map(|_| EventFd::new().ok()).collect(),
                 fault: Fault {
                     loss: AtomicU64::new(0.0f64.to_bits()),
                     blocked,
@@ -173,6 +180,7 @@ impl MemoryHub {
         self.inner.pending_conns[replica.index()]
             .push(server)
             .map_err(|_| NetError::Closed)?;
+        self.ring_listener(replica.index());
         Ok(MemoryClientEndpoint {
             outgoing: c2s,
             incoming: s2c,
@@ -215,6 +223,7 @@ impl MemoryHub {
             self.inner.links[other][replica.index()].close();
         }
         self.inner.pending_conns[replica.index()].close();
+        self.ring_listener(replica.index());
     }
 
     /// Shuts the whole fabric down.
@@ -225,8 +234,16 @@ impl MemoryHub {
                 q.close();
             }
         }
-        for q in &self.inner.pending_conns {
+        for (r, q) in self.inner.pending_conns.iter().enumerate() {
             q.close();
+            self.ring_listener(r);
+        }
+    }
+
+    /// Writes replica `r`'s listener eventfd, if it has one.
+    fn ring_listener(&self, r: usize) {
+        if let Some(signal) = &self.inner.accept_signals[r] {
+            let _ = signal.notify();
         }
     }
 
@@ -360,19 +377,48 @@ impl Drop for MemoryServerConn {
 }
 
 /// Listener handing out the server halves of client connections.
+///
+/// Its [`ClientListener::raw_fd`] is the replica's eventfd, which the hub
+/// writes after every [`MemoryHub::connect_client`] push and when it
+/// closes the replica's accept queue. Registered edge-triggered, every
+/// write is a new edge, so a reader that accepts until `None` after each
+/// edge misses no connection.
 #[derive(Debug)]
 pub struct MemoryClientListener {
     hub: MemoryHub,
     replica: ReplicaId,
 }
 
+impl MemoryClientListener {
+    fn pending(&self) -> &BoundedQueue<MemoryServerConn> {
+        &self.hub.inner.pending_conns[self.replica.index()]
+    }
+}
+
+/// A popped connection, or what an empty or closed accept queue means.
+fn accepted(
+    popped: Result<MemoryServerConn, PopError>,
+) -> Result<Option<Box<dyn ClientConn>>, NetError> {
+    match popped {
+        Ok(conn) => Ok(Some(Box::new(conn))),
+        Err(PopError::Empty) => Ok(None),
+        Err(PopError::Closed) => Err(NetError::Closed),
+    }
+}
+
 impl ClientListener for MemoryClientListener {
     fn accept_timeout(&self, timeout: Duration) -> Result<Option<Box<dyn ClientConn>>, NetError> {
-        match self.hub.inner.pending_conns[self.replica.index()].pop_timeout(timeout) {
-            Ok(conn) => Ok(Some(Box::new(conn))),
-            Err(PopError::Empty) => Ok(None),
-            Err(PopError::Closed) => Err(NetError::Closed),
-        }
+        accepted(self.pending().pop_timeout(timeout))
+    }
+
+    fn raw_fd(&self) -> Option<i32> {
+        self.hub.inner.accept_signals[self.replica.index()]
+            .as_ref()
+            .map(EventFd::as_raw_fd)
+    }
+
+    fn try_accept(&self) -> Result<Option<Box<dyn ClientConn>>, NetError> {
+        accepted(self.pending().try_pop())
     }
 }
 
@@ -662,6 +708,45 @@ mod tests {
                 !edge(&mut poll, Duration::from_millis(20)),
                 "a receive from a queue with room writes nothing"
             );
+        }
+
+        /// The listener's eventfd: every connect is a new edge, whether
+        /// or not the connections before it were accepted.
+        #[test]
+        fn every_connect_rings_the_listener() {
+            let hub = MemoryHub::new(2, 1);
+            let listener = hub.client_listener(ReplicaId(1));
+            let fd = listener
+                .raw_fd()
+                .expect("an in-memory listener has an eventfd");
+            let mut poll = Poll::new().unwrap();
+            poll.registry()
+                .register(&mut SourceFd(&fd), Token(0), Interest::READABLE)
+                .unwrap();
+            assert!(
+                !edge(&mut poll, Duration::from_millis(20)),
+                "quiet at first"
+            );
+            let _first = hub.connect_client(ReplicaId(1)).unwrap();
+            assert!(edge(&mut poll, Duration::from_secs(2)), "first connect");
+            let _second = hub.connect_client(ReplicaId(1)).unwrap();
+            assert!(
+                edge(&mut poll, Duration::from_secs(2)),
+                "second connect, the first still pending"
+            );
+            let _elsewhere = hub.connect_client(ReplicaId(0)).unwrap();
+            assert!(
+                !edge(&mut poll, Duration::from_millis(20)),
+                "another replica's connect"
+            );
+            assert!(listener.try_accept().unwrap().is_some());
+            assert!(listener.try_accept().unwrap().is_some());
+            assert!(listener.try_accept().unwrap().is_none());
+            // A listener made later (a restarted replica) reuses the fd.
+            assert_eq!(hub.client_listener(ReplicaId(1)).raw_fd(), Some(fd));
+            hub.close_replica(ReplicaId(1));
+            assert!(edge(&mut poll, Duration::from_secs(2)), "close");
+            assert_eq!(listener.try_accept().err(), Some(NetError::Closed));
         }
 
         #[test]

@@ -51,10 +51,11 @@ pub trait ClientConn: Send + 'static {
     /// Stable identifier for logs.
     fn id(&self) -> u64;
 
-    /// Raw file descriptor for readiness registration, when the transport
-    /// is backed by one (TCP). `None` means the connection must be polled
-    /// (in-memory transport) — the ClientIO loop scans such connections on
-    /// its tick instead of registering them with epoll.
+    /// Raw file descriptor for readiness registration: a TCP socket, or
+    /// the eventfd of an in-memory connection. `None` means the
+    /// connection has no descriptor (an in-memory one where no eventfd
+    /// could be made) — the ClientIO loop scans such connections on its
+    /// tick instead of registering them with epoll.
     fn raw_fd(&self) -> Option<i32> {
         None
     }
@@ -97,8 +98,9 @@ pub trait ClientConn: Send + 'static {
     }
 }
 
-/// Accepts incoming client connections (driven by the acceptor thread,
-/// which hands connections to ClientIO threads round-robin, §V-A).
+/// Accepts incoming client connections. The first ClientIO thread owns
+/// the listener and deals what it accepts to the ClientIO threads
+/// round-robin (§V-A).
 pub trait ClientListener: Send + 'static {
     /// Waits up to `timeout` for a connection.
     ///
@@ -107,8 +109,12 @@ pub trait ClientListener: Send + 'static {
     /// [`NetError::Closed`] after shutdown.
     fn accept_timeout(&self, timeout: Duration) -> Result<Option<Box<dyn ClientConn>>, NetError>;
 
-    /// Raw file descriptor of the listening socket, when there is one, so
-    /// the acceptor can park on readiness instead of sleep-polling.
+    /// Raw file descriptor that turns readable when a connection is
+    /// pending (the listening socket, or the in-memory hub's eventfd), so
+    /// ClientIO registers it beside its connections; `None` means the
+    /// listener is scanned every tick. Registered edge-triggered: the
+    /// reader calls [`ClientListener::try_accept`] until it returns
+    /// `None` after every edge.
     fn raw_fd(&self) -> Option<i32> {
         None
     }
@@ -117,7 +123,9 @@ pub trait ClientListener: Send + 'static {
     ///
     /// # Errors
     ///
-    /// [`NetError::Closed`] after shutdown.
+    /// [`NetError::Closed`] after shutdown; [`NetError::Io`] on an accept
+    /// error (say, out of descriptors), after which accepting may be
+    /// retried.
     fn try_accept(&self) -> Result<Option<Box<dyn ClientConn>>, NetError> {
         self.accept_timeout(Duration::ZERO)
     }
